@@ -19,15 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .dm_eval import DmChannelSpec
 from .info_measures import PROB_TOL, Pmf, binary_convolve, binary_entropy
-from .region_geometry import (
-    RatePentagon,
-    RegionPolygon,
-    convex_hull_2d,
-    pentagon_vertices,
-)
+from .region_geometry import RatePentagon, RegionPolygon, union_region
 
 
 class InfeasibleParameters(ValueError):
@@ -125,16 +119,7 @@ def feasible_grid(m: BinaryMacParams, grid_steps: int) -> list[BinaryDpcParams]:
 
 def inner_region(m: BinaryMacParams, grid_steps: int = 41) -> RegionPolygon:
     """Convex closure of the pentagon union over the feasible (a10, a01) grid."""
-    grid = feasible_grid(m, grid_steps)
-
-    def verts_for(d: BinaryDpcParams):
-        return pentagon_vertices(inner_pentagon(m, d)).vertices
-
-    chunks = parallel_map(verts_for, grid)
-    points: list[tuple[float, float]] = []
-    for chunk in chunks:
-        points.extend(chunk)
-    return convex_hull_2d(points)
+    return union_region([inner_pentagon(m, d) for d in feasible_grid(m, grid_steps)])
 
 
 def outer_region(m: BinaryMacParams) -> RatePentagon:

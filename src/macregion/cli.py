@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binary_mac, gaussian_mac
-from .dm_eval import DmChannelSpec, inner_bound_pentagon, validate_spec
+from .dm_eval import Diagnostic, DmChannelSpec, inner_bound_pentagon, validate_spec
 from .info_measures import Pmf
 from .region_geometry import RegionPolygon, max_r2_at, pentagon_vertices
 from .verification import run_suite
@@ -95,8 +95,8 @@ class DmSpecError(ValueError):
         super().__init__(f"{pointer or '/'}: {message}")
 
 
-def dm_spec_from_dict(doc: dict) -> DmChannelSpec:
-    """Build and fully validate a channel spec from its JSON document."""
+def _checked_spec(doc: dict) -> tuple[DmChannelSpec, list[Diagnostic]]:
+    """Build a channel spec and validate it once: errors raise, advisories return."""
     if not isinstance(doc, dict):
         raise DmSpecError("", "top level must be an object")
     for key in ("alphabets", *SPEC_TABLE_AXES):
@@ -127,6 +127,12 @@ def dm_spec_from_dict(doc: dict) -> DmChannelSpec:
                 f"shape {arr.shape} does not match alphabets "
                 f"{dict(zip(axes, expected))} (expected {expected})",
             )
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            idx = tuple(bad[0])
+            raise DmSpecError(
+                "/" + "/".join([key, *map(str, idx)]), f"entry {float(arr[idx])!r} is not finite"
+            )
         arrays[key] = arr
 
     try:
@@ -146,20 +152,29 @@ def dm_spec_from_dict(doc: dict) -> DmChannelSpec:
         x2_given_q=arrays["x2_given_q"],
         y_given_x1x2s=arrays["y_given_x1x2s"],
     )
-    for diag in validate_spec(spec):
+    diagnostics = validate_spec(spec)
+    for diag in diagnostics:
         if diag.level == "error":
             pointer = "/" + diag.location.replace("[", "/").replace("]", "")
             raise DmSpecError(pointer, diag.message)
-    return spec
+    return spec, diagnostics
+
+
+def dm_spec_from_dict(doc: dict) -> DmChannelSpec:
+    """Build and fully validate a channel spec from its JSON document."""
+    return _checked_spec(doc)[0]
+
+
+def _read_spec_doc(path: str | Path) -> dict:
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DmSpecError("", f"not valid JSON: {exc}")
 
 
 def load_dm_spec(path: str | Path) -> DmChannelSpec:
     """Read and validate a channel-spec JSON file."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DmSpecError("", f"not valid JSON: {exc}")
-    return dm_spec_from_dict(doc)
+    return dm_spec_from_dict(_read_spec_doc(path))
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +224,6 @@ def _polygon_for(command: str, parameters: dict, grid: dict) -> RegionPolygon:
             parameters["P1"], parameters["P2"], 0.0, parameters["N"]
         )
         return pentagon_vertices(gaussian_mac.asymptotic_outer_region(m))
-    if command == "dm-eval":
-        spec = dm_spec_from_dict(parameters["spec"])
-        return pentagon_vertices(inner_bound_pentagon(spec))
     raise ValueError(f"unknown region command {command!r}")
 
 
@@ -222,11 +234,41 @@ def build_region_export(
     nats: bool = False,
     sample_step: float | None = None,
 ) -> RegionExport:
+    if command == "dm-eval":
+        return _dm_eval_export(dm_spec_from_dict(parameters["spec"]), parameters, nats, sample_step)
     polygon = _polygon_for(command, parameters, grid)
+    return _region_export(command, parameters, grid, polygon, nats, sample_step)
+
+
+def _dm_eval_export(
+    spec: DmChannelSpec, parameters: dict, nats: bool, sample_step: float | None
+) -> RegionExport:
+    """The spec's pentagon, with its caps in the metadata."""
+    pentagon = inner_bound_pentagon(spec)
+    export = _region_export(
+        "dm-eval", parameters, {}, pentagon_vertices(pentagon), nats, sample_step
+    )
+    scale = LN2 if nats else 1.0
+    export.metadata["caps"] = {
+        cap: _round12(getattr(pentagon, cap) * scale) for cap in ("c1", "c2", "c12")
+    }
+    return export
+
+
+def _region_export(
+    command: str,
+    parameters: dict,
+    grid: dict,
+    polygon: RegionPolygon,
+    nats: bool,
+    sample_step: float | None,
+) -> RegionExport:
     scale = LN2 if nats else 1.0
     vertices = [(x * scale, y * scale) for x, y in polygon.vertices]
     samples = None
     if sample_step is not None:
+        if not math.isfinite(sample_step):
+            raise ValueError(f"sample step must be finite, got {sample_step!r}")
         if sample_step <= 0.0:
             raise ValueError(f"sample step must be positive, got {sample_step!r}")
         r1s = list(np.arange(0.0, polygon.max_r1, sample_step))
@@ -510,20 +552,11 @@ def _run_command(args: argparse.Namespace) -> int:
         return 0
 
     if cmd == "dm-eval":
-        spec = load_dm_spec(args.spec)
-        for diag in validate_spec(spec):
+        doc = _read_spec_doc(args.spec)
+        spec, advisories = _checked_spec(doc)
+        for diag in advisories:
             print(f"advisory: {diag.location}: {diag.message}", file=sys.stderr)
-        doc = json.loads(Path(args.spec).read_text())
-        export = build_region_export(
-            "dm-eval", {"spec": doc}, {}, nats=args.nats, sample_step=args.sample_step
-        )
-        pentagon = inner_bound_pentagon(spec)
-        scale = LN2 if args.nats else 1.0
-        export.metadata["caps"] = {
-            "c1": _round12(pentagon.c1 * scale),
-            "c2": _round12(pentagon.c2 * scale),
-            "c12": _round12(pentagon.c12 * scale),
-        }
+        export = _dm_eval_export(spec, {"spec": doc}, args.nats, args.sample_step)
         _write_export(export, args.out)
         return 0
 

@@ -31,13 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map
-from .region_geometry import (
-    RatePentagon,
-    RegionPolygon,
-    convex_hull_2d,
-    pentagon_vertices,
-)
+from .region_geometry import RatePentagon, RegionPolygon, convex_hull_2d, union_region
 
 _TOL = 1e-12
 
@@ -56,6 +50,9 @@ class GaussianMacParams:
     N: float
 
     def __post_init__(self):
+        for name in ("P1", "P2", "Q", "N"):
+            if not math.isfinite(float(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("P1", "P2", "N"):
             if not float(getattr(self, name)) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -239,13 +236,15 @@ def _rho_grid(rho_steps: int, explore_positive_rho: bool) -> list[float]:
     return [float(r) for r in values if abs(r) < 1.0]
 
 
-def _pentagon_points(m: GaussianMacParams, rho: float, alphas) -> list[tuple[float, float]]:
-    pts: list[tuple[float, float]] = []
-    for alpha in alphas:
-        r1, r2, r3 = gdpc_rates(m, GdpcParams(rho, float(alpha), allow_positive_rho=True))
-        if r1 >= 0.0 and r3 >= 0.0:
-            pts.extend(pentagon_vertices(RatePentagon(r1, r2, r3)).vertices)
-    return pts
+def _gdpc_union(m: GaussianMacParams, rhos: Sequence[float], alphas) -> RegionPolygon:
+    """Union of the feasible (r1, r3 >= 0) GDPC pentagons; the origin if none."""
+    pentagons = []
+    for rho in rhos:
+        for alpha in alphas:
+            r1, r2, r3 = gdpc_rates(m, GdpcParams(rho, float(alpha), allow_positive_rho=True))
+            if r1 >= 0.0 and r3 >= 0.0:
+                pentagons.append(RatePentagon(r1, r2, r3))
+    return union_region(pentagons) if pentagons else convex_hull_2d([])
 
 
 def inner_region(
@@ -264,18 +263,13 @@ def inner_region(
     if alpha_steps < 2:
         raise ValueError("alpha_steps must be >= 2")
     alphas = np.linspace(ALPHA_SPAN[0], ALPHA_SPAN[1], alpha_steps)
-    rhos = _rho_grid(rho_steps, explore_positive_rho)
-    chunks = parallel_map(lambda rho: _pentagon_points(m, rho, alphas), rhos)
-    points: list[tuple[float, float]] = []
-    for chunk in chunks:
-        points.extend(chunk)
-    return convex_hull_2d(points)
+    return _gdpc_union(m, _rho_grid(rho_steps, explore_positive_rho), alphas)
 
 
 def dpc_only_region(m: GaussianMacParams, alpha_steps: int = 81) -> RegionPolygon:
     """Inner bound achieved without state cancellation (rho = 0 only)."""
     alphas = np.linspace(ALPHA_SPAN[0], ALPHA_SPAN[1], alpha_steps)
-    return convex_hull_2d(_pentagon_points(m, 0.0, alphas))
+    return _gdpc_union(m, [0.0], alphas)
 
 
 def outer_region(m: GaussianMacParams) -> RatePentagon:
@@ -329,23 +323,14 @@ def asymptotic_inner_region(
     """
     if alpha_steps < 2:
         raise ValueError("alpha_steps must be >= 2")
-    rhos = _rho_grid(rho_steps, explore_positive_rho=False)
-
-    def points_for(rho: float) -> list[tuple[float, float]]:
+    pentagons = []
+    for rho in _rho_grid(rho_steps, explore_positive_rho=False):
         upper = asymptotic_alpha_max(m, rho)
         alphas = set(np.linspace(0.0, upper, alpha_steps).tolist())
         alphas.add(min(1.0, upper))
-        pts: list[tuple[float, float]] = []
         for alpha in sorted(alphas):
-            r1, r2, r3 = asymptotic_rates(m, GdpcParams(rho, alpha))
-            pts.extend(pentagon_vertices(RatePentagon(r1, r2, r3)).vertices)
-        return pts
-
-    chunks = parallel_map(points_for, rhos)
-    points: list[tuple[float, float]] = []
-    for chunk in chunks:
-        points.extend(chunk)
-    return convex_hull_2d(points)
+            pentagons.append(RatePentagon(*asymptotic_rates(m, GdpcParams(rho, alpha))))
+    return union_region(pentagons)
 
 
 def asymptotic_outer_region(m: GaussianMacParams) -> RatePentagon:
@@ -441,7 +426,7 @@ def r2_max_curve(
         refined, _, _ = _intercept_max(mq, [float(r) for r in fine_rhos], fine_alphas)
         return float(q), max(value, refined)
 
-    return list(parallel_map(solve, list(state_variances)))
+    return [solve(q) for q in state_variances]
 
 
 def gdpc_decompose(m: GaussianMacParams, g: GdpcParams) -> GdpcDecomposition:

@@ -68,6 +68,8 @@ class Pmf:
         arr = np.asarray(list(atoms), dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a pmf needs at least one atom")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite atom in pmf: {arr.tolist()!r}")
         if np.any(arr < -PROB_TOL):
             raise ValueError(f"negative atom in pmf: {arr.min()!r}")
         arr = np.clip(arr, 0.0, None)

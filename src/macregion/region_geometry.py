@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 #: Absolute cross-product tolerance below which hull vertices count as collinear.
 COLLINEAR_TOL = 1e-12
 
@@ -186,13 +188,29 @@ def pentagon_vertices(p: RatePentagon) -> RegionPolygon:
 
 
 def union_region(pentagons: Sequence[RatePentagon]) -> RegionPolygon:
-    """Convex hull of the union of pentagon regions (hull of their vertices)."""
+    """Convex hull of the union of pentagon regions.
+
+    Every pentagon is down-closed (time sharing with silence is always
+    allowed), so the hull of the union is too, and its only vertices are the
+    origin, the largest point on each axis and Pareto-maximal pentagon
+    corners: a point dominated by another lies in that point's rectangle
+    [0, x] x [0, y] inside the hull, so it is a vertex only on an axis.  Each
+    pentagon's two possibly off-axis corners are collected, the dominated ones
+    dropped, and the rest hulled once with the exact predicate; the result
+    equals ``convex_hull_2d`` of every pentagon's vertices taken together.
+    """
     if not pentagons:
         raise ValueError("need at least one pentagon")
-    verts: list[tuple[float, float]] = []
-    for p in pentagons:
-        verts.extend(pentagon_vertices(p).vertices)
-    return convex_hull_2d(verts)
+    c1, c2, c12 = np.array([(p.c1_eff, p.c2_eff, p.c12) for p in pentagons]).T
+    x = np.concatenate([c1, np.minimum(c1, np.maximum(c12 - c2, 0.0))])
+    y = np.concatenate([np.minimum(c2, np.maximum(c12 - c1, 0.0)), c2])
+    order = np.lexsort((-y, -x))  # R1 descending, ties by R2 descending
+    x, y = x[order], y[order]
+    best_before = np.maximum.accumulate(np.concatenate(([-1.0], y[:-1])))
+    keep = y > best_before  # no corner with larger (or equal) R1 reaches this R2
+    points = list(zip(x[keep].tolist(), y[keep].tolist()))
+    points += [(float(c1.max()), 0.0), (0.0, float(c2.max()))]
+    return convex_hull_2d(points)
 
 
 def _segment_distance(p, a, b) -> float:

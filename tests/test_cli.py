@@ -134,6 +134,22 @@ class TestRegionExports:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_step_exits_2(self, value, capsys):
+        argv = ["binary-dpc", "--p1", "0.1", "--p2", "0.4", "--q", "0.2", f"--sample-step={value}"]
+        assert main(argv) == 2
+        assert f"error: sample step must be finite, got {float(value)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["P1", "P2", "Q", "N"])
+    def test_non_finite_gaussian_parameter_exits_2(self, name, value, tmp_path, capsys):
+        params = {"P1": "15", "P2": "50", "Q": "20", "N": "60", name: value}
+        out = tmp_path / "r.json"
+        argv = ["gaussian-region", *(f"--{k}={v}" for k, v in params.items()), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDmSpecLoading:
     def test_valid_spec_round_trip(self, tmp_path):
@@ -185,6 +201,33 @@ class TestDmSpecLoading:
         assert doc["metadata"]["caps"]["c1"] == pytest.approx(expect.c1, abs=1e-11)
         assert doc["metadata"]["caps"]["c12"] == pytest.approx(expect.c12, abs=1e-11)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key, index",
+        [("q_dist", (0,)), ("s_dist", (1,)), ("u1_given_sq", (0, 0, 1)), ("y_given_x1x2s", (1, 0, 1, 0))],
+    )
+    def test_non_finite_entry_names_its_pointer(self, tmp_path, key, index, bad):
+        doc = spec_doc()
+        row = doc[key]
+        for i in index[:-1]:
+            row = row[i]
+        row[index[-1]] = bad
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        pointer = "/" + "/".join([key, *map(str, index)])
+        with pytest.raises(DmSpecError) as err:
+            load_dm_spec(path)
+        assert err.value.pointer == pointer
+        assert "not finite" in str(err.value)
+
+    def test_cli_dm_eval_nan_entry_exits_2_with_pointer(self, tmp_path, capsys):
+        doc = spec_doc()
+        doc["u1_given_sq"][0][0][1] = math.nan
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dm-eval", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == "error: /u1_given_sq/0/0/1: entry nan is not finite\n"
+
     def test_cli_dm_eval_bad_spec_exits_nonzero(self, tmp_path, capsys):
         doc = spec_doc()
         doc["u1_given_sq"][0][0] = [0.3, 0.3]
@@ -227,22 +270,26 @@ class TestVerifySubcommand:
             main(["verify", "nonsense"])
 
 
-class TestThreadCap:
-    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
-        args = [
-            "binary-region", "--p1", "0.1", "--p2", "0.4", "--q", "0.2",
-            "--grid", "21",
+class TestDeterminism:
+    def test_repeat_runs_and_rebuild_are_byte_identical(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_doc()))
+        commands = [
+            ["binary-region", "--p1", "0.1", "--p2", "0.4", "--q", "0.2", "--grid", "21"],
+            ["gaussian-region", "--P1", "15", "--P2", "50", "--Q", "20", "--N", "60",
+             "--rho-steps", "7", "--alpha-steps", "33"],
+            ["dm-eval", "--spec", str(spec_path), "--nats"],
         ]
-        monkeypatch.setenv("MACREGION_THREADS", "1")
-        one = tmp_path / "one.json"
-        main(args + ["--out", str(one)])
-        monkeypatch.setenv("MACREGION_THREADS", "4")
-        four = tmp_path / "four.json"
-        main(args + ["--out", str(four)])
-        assert one.read_text() == four.read_text()
-
-    def test_invalid_value_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("MACREGION_THREADS", "lots")
-        code = main(["binary-region", "--p1", "0.1", "--p2", "0.4", "--q", "0.2"])
-        assert code == 2
-        assert "MACREGION_THREADS" in capsys.readouterr().err
+        for k, args in enumerate(commands):
+            runs = []
+            for attempt in range(2):
+                json_path = tmp_path / f"{k}_{attempt}.json"
+                csv_path = tmp_path / f"{k}_{attempt}.csv"
+                assert main(args + ["--out", str(json_path), "--out", str(csv_path)]) == 0
+                runs.append((json_path.read_bytes(), csv_path.read_bytes()))
+            assert runs[0] == runs[1]
+            first_json, first_csv = runs[0]
+            again = rebuild_from_metadata(json.loads(first_json)["metadata"])
+            rebuilt = json.dumps(again.json_doc(), indent=2, sort_keys=True) + "\n"
+            assert rebuilt.encode() == first_json
+            assert again.csv_text().encode() == first_csv

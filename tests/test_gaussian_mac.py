@@ -43,6 +43,13 @@ class TestParams:
             GaussianMacParams(15.0, 50.0, -1.0, 60.0)
         GaussianMacParams(15.0, 50.0, 0.0, 60.0)  # zero state variance allowed
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["P1", "P2", "Q", "N"])
+    def test_non_finite_rejected_by_name(self, name, value):
+        kwargs = {"P1": 15.0, "P2": 50.0, "Q": 20.0, "N": 60.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            GaussianMacParams(**kwargs)
+
     def test_rho_range(self):
         with pytest.raises(ValueError):
             GdpcParams(0.3, 1.0)

@@ -99,6 +99,11 @@ class TestPmfAndEntropy:
         with pytest.raises(ValueError):
             Pmf([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_atom_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Pmf([bad, 1.0])
+
     def test_renormalizes_within_slack(self):
         p = Pmf([0.5, 0.5 + 1e-13])
         assert math.fsum(p.atoms.tolist()) == pytest.approx(1.0, abs=1e-15)

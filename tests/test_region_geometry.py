@@ -132,7 +132,54 @@ class TestConvexHull:
         assert again.vertices == poly.vertices
 
 
+@st.composite
+def sweep_pentagons(draw):
+    """Pentagons as sweeps produce them: zero caps, slack and near-collinear sum caps."""
+    c1 = draw(st.one_of(st.just(0.0), caps))
+    c2 = draw(st.one_of(st.just(0.0), caps))
+    kind = draw(st.sampled_from(("free", "slack", "near_collinear")))
+    if kind == "slack":
+        c12 = c1 + c2 + draw(st.floats(min_value=0.0, max_value=1.0))
+    elif kind == "near_collinear":
+        c12 = c1 + c2 + draw(st.floats(min_value=-1e-13, max_value=1e-13))
+    else:
+        c12 = draw(st.one_of(st.just(0.0), caps))
+    return RatePentagon(c1, c2, c12)
+
+
+# Lists drawn from a small pool, so duplicates are common.
+pentagon_lists = st.lists(sweep_pentagons(), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+)
+
+
+def corner_candidates(p):
+    """All five candidate vertices of a pentagon, before any collinear drop."""
+    c1, c2, c12 = p.c1_eff, p.c2_eff, p.c12
+    return [
+        (0.0, 0.0),
+        (c1, 0.0),
+        (0.0, c2),
+        (c1, min(c2, max(c12 - c1, 0.0))),
+        (min(c1, max(c12 - c2, 0.0)), c2),
+    ]
+
+
 class TestUnionRegion:
+    @given(pentagon_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_hull_of_all_pentagon_vertices(self, ps):
+        # The reference hulls every vertex of every pentagon at once.  Hulling
+        # pentagon_vertices(p) instead is not a reference: its per-pentagon
+        # collinear drop can collapse a thin pentagon (see the sliver test).
+        reference = convex_hull_2d([v for p in ps for v in corner_candidates(p)])
+        assert union_region(ps).vertices == reference.vertices
+
+    def test_thin_pentagon_keeps_its_extent(self):
+        sliver = RatePentagon(1.0, 4e-16, 1.0 + 4e-16)
+        merged = union_region([RatePentagon(0.0, 1.0, 1.0), sliver])
+        assert merged.vertices == ((0.0, 0.0), (1.0, 4e-16), (0.0, 1.0))
+
     def test_single_pentagon_identity(self):
         p = RatePentagon(1.0, 1.0, 1.5)
         assert union_region([p]).vertices == pentagon_vertices(p).vertices
