@@ -64,6 +64,7 @@ from .region_geometry import (
     max_r2_at,
     pentagon_vertices,
     polygon_area,
+    union_caps,
     union_region,
 )
 
@@ -115,6 +116,7 @@ __all__ = [
     "pentagon_vertices",
     "convex_hull_2d",
     "union_region",
+    "union_caps",
     "contains",
     "is_subset",
     "hausdorff",

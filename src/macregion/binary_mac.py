@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dm_eval import DmChannelSpec
-from .info_measures import PROB_TOL, Pmf, binary_convolve, binary_entropy
-from .region_geometry import RatePentagon, RegionPolygon, union_region
+from .info_measures import PROB_TOL, Pmf, binary_convolve, binary_entropy, binary_entropy_array
+from .region_geometry import RatePentagon, RegionPolygon, union_caps
 
 
 class InfeasibleParameters(ValueError):
@@ -103,23 +103,40 @@ def standard_dpc_pentagon(m: BinaryMacParams) -> RatePentagon:
     return inner_pentagon(m, BinaryDpcParams(m.p1, 1.0 - m.p1))
 
 
-def feasible_grid(m: BinaryMacParams, grid_steps: int) -> list[BinaryDpcParams]:
-    """Uniform (a10, a01) grid over [0,1]^2 with infeasible points skipped."""
+def _pentagon_caps(m: BinaryMacParams, a10: np.ndarray, a01: np.ndarray):
+    """Caps (c1, c2, c12) of ``inner_pentagon`` at arrays of feasible (a10, a01).
+
+    Each element equals the scalar pentagon's caps bit for bit: the same
+    operations in the same order, logarithms through ``math.log2``.  c2 does
+    not depend on the point and is returned as a scalar.
+    """
+    c1 = (1.0 - m.q) * binary_entropy_array(a10) + m.q * binary_entropy_array(a01)
+    u = m.q * a01 + (1.0 - m.q) * a10  # P(U1 = 1)
+    uc = np.clip(u, 0.0, 1.0)
+    conv = m.p2 * (1.0 - uc) + uc * (1.0 - m.p2)  # binary_convolve(p2, u)
+    c12 = c1 + binary_entropy_array(conv) - binary_entropy_array(u)
+    return c1, binary_entropy(m.p2), np.where(c12 < 0.0, 0.0, c12)
+
+
+def _feasible_mesh(m: BinaryMacParams, grid_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Feasible (a10, a01) of the uniform grid over [0,1]^2, a10-major."""
     if grid_steps < 2:
         raise ValueError("grid_steps must be >= 2")
     axis = np.linspace(0.0, 1.0, grid_steps)
-    out = []
-    for a10 in axis:
-        for a01 in axis:
-            d = BinaryDpcParams(float(a10), float(a01))
-            if is_feasible(d, m):
-                out.append(d)
-    return out
+    a10, a01 = np.meshgrid(axis, axis, indexing="ij")
+    keep = (1.0 - m.q) * a10 + m.q * (1.0 - a01) <= m.p1 + PROB_TOL  # is_feasible
+    return a10[keep], a01[keep]
+
+
+def feasible_grid(m: BinaryMacParams, grid_steps: int) -> list[BinaryDpcParams]:
+    """Uniform (a10, a01) grid over [0,1]^2 with infeasible points skipped."""
+    a10, a01 = _feasible_mesh(m, grid_steps)
+    return [BinaryDpcParams(a, b) for a, b in zip(a10.tolist(), a01.tolist())]
 
 
 def inner_region(m: BinaryMacParams, grid_steps: int = 41) -> RegionPolygon:
     """Convex closure of the pentagon union over the feasible (a10, a01) grid."""
-    return union_region([inner_pentagon(m, d) for d in feasible_grid(m, grid_steps)])
+    return union_caps(*_pentagon_caps(m, *_feasible_mesh(m, grid_steps)))
 
 
 def outer_region(m: BinaryMacParams) -> RatePentagon:

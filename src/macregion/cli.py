@@ -379,7 +379,8 @@ FIGURE_PRESETS: dict[str, list[tuple[str, str, dict, dict]]] = {
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Export JSON text; a NaN or infinite number is a ValueError, never invalid JSON."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_export(export: RegionExport | CurveExport, out_paths: list[str]) -> None:

@@ -31,12 +31,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .region_geometry import RatePentagon, RegionPolygon, convex_hull_2d, union_region
+from .info_measures import map_floats
+from .region_geometry import RatePentagon, RegionPolygon, convex_hull_2d, union_caps
 
 _TOL = 1e-12
 
-#: Default alpha scan window for finite-variance sweeps; covers the Costa
-#: scaling and every feasibility endpoint of the shipped parameter sets.
+#: Default alpha scan window for finite-variance sweeps.  It covers the Costa
+#: scaling but not every feasible alpha: at fig5's Q = 1 (P1 = 15, P2 = 50,
+#: N = 60, rho = 0) ``feasible_alpha_interval`` is about [-1.544, 1.944], which
+#: the window truncates (ROADMAP item 3 tracks the sweep over the exact interval).
 ALPHA_SPAN = (-0.5, 2.0)
 
 
@@ -236,15 +239,42 @@ def _rho_grid(rho_steps: int, explore_positive_rho: bool) -> list[float]:
     return [float(r) for r in values if abs(r) < 1.0]
 
 
+def _square(v: float) -> float:
+    # The scalar closed forms square with ``**``, i.e. the C library's pow,
+    # which differs from v * v in the last bit for about 0.1% of doubles.
+    return v ** 2
+
+
+def _gdpc_kernel(m: GaussianMacParams, rho, alpha):
+    """GDPC caps on broadcast (rho, alpha) arrays, kept where r1, r3 >= 0.
+
+    Returns the feasibility mask over the broadcast grid and r1, r2, r3 at its
+    True entries (row-major order).  Each equals ``gdpc_rates`` at that point
+    bit for bit: the same operations in the same order, with (1 - alpha)^2 and
+    the logarithms taken per element through the C library.  A cap is
+    nonnegative exactly when its log argument is at least 1, so logarithms are
+    taken at feasible points only.  |rho| < 1 is the caller's to ensure.
+    """
+    rho = np.asarray(rho, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    c = m.P1 * (1.0 - rho * rho)
+    cross = rho * math.sqrt(m.P1 * m.Q)
+    state = c * m.Q * map_floats(_square, 1.0 - alpha)
+    d = m.P1 + alpha * alpha * m.Q + 2.0 * alpha * cross
+    b = state + m.N * d
+    arg1 = c * (m.P1 + m.Q + 2.0 * cross + m.N) / b
+    arg3 = c * (m.P1 + m.P2 + m.Q + 2.0 * cross + m.N) / b
+    feasible = (arg1 >= 1.0) & (arg3 >= 1.0)
+    r1 = 0.5 * map_floats(math.log2, arg1[feasible])
+    r2 = 0.5 * map_floats(math.log2, 1.0 + m.P2 / (m.N + state[feasible] / d[feasible]))
+    r3 = 0.5 * map_floats(math.log2, arg3[feasible])
+    return feasible, r1, r2, r3
+
+
 def _gdpc_union(m: GaussianMacParams, rhos: Sequence[float], alphas) -> RegionPolygon:
     """Union of the feasible (r1, r3 >= 0) GDPC pentagons; the origin if none."""
-    pentagons = []
-    for rho in rhos:
-        for alpha in alphas:
-            r1, r2, r3 = gdpc_rates(m, GdpcParams(rho, float(alpha), allow_positive_rho=True))
-            if r1 >= 0.0 and r3 >= 0.0:
-                pentagons.append(RatePentagon(r1, r2, r3))
-    return union_region(pentagons) if pentagons else convex_hull_2d([])
+    _, r1, r2, r3 = _gdpc_kernel(m, np.array(rhos, dtype=float)[:, None], alphas)
+    return union_caps(r1, r2, r3) if r1.size else convex_hull_2d([])
 
 
 def inner_region(
@@ -313,6 +343,24 @@ def asymptotic_rates(m: GaussianMacParams, g: GdpcParams) -> RateTriple:
     return RateTriple(r1, r2, r1)
 
 
+def _asymptotic_caps(m: GaussianMacParams, rho, alpha):
+    """(r1, r2) of ``asymptotic_rates`` on broadcast (rho, alpha) arrays, bit for bit.
+
+    alpha must lie in each rho's feasible range.  r2 = 0 at alpha = 0, and also
+    where alpha * alpha underflows to 0 (its limit there; the scalar form
+    divides by zero).
+    """
+    rho, alpha = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(alpha, dtype=float))
+    c = m.P1 * (1.0 - rho * rho)
+    sq = map_floats(_square, 1.0 - alpha)
+    a2 = alpha * alpha
+    r1 = 0.5 * map_floats(math.log2, c / (c * sq + a2 * m.N))
+    r2 = np.zeros(alpha.shape)
+    on = a2 != 0.0
+    r2[on] = 0.5 * map_floats(math.log2, 1.0 + m.P2 / (m.N + c[on] * sq[on] / a2[on]))
+    return r1, r2
+
+
 def asymptotic_inner_region(
     m: GaussianMacParams, rho_steps: int = 21, alpha_steps: int = 81
 ) -> RegionPolygon:
@@ -323,14 +371,15 @@ def asymptotic_inner_region(
     """
     if alpha_steps < 2:
         raise ValueError("alpha_steps must be >= 2")
-    pentagons = []
+    rhos, alphas = [], []
     for rho in _rho_grid(rho_steps, explore_positive_rho=False):
         upper = asymptotic_alpha_max(m, rho)
-        alphas = set(np.linspace(0.0, upper, alpha_steps).tolist())
-        alphas.add(min(1.0, upper))
-        for alpha in sorted(alphas):
-            pentagons.append(RatePentagon(*asymptotic_rates(m, GdpcParams(rho, alpha))))
-    return union_region(pentagons)
+        grid = set(np.linspace(0.0, upper, alpha_steps).tolist())
+        grid.add(min(1.0, upper))
+        alphas.append(sorted(grid))
+        rhos.append(np.full(len(grid), rho))
+    r1, r2 = _asymptotic_caps(m, np.concatenate(rhos), np.concatenate(alphas))
+    return union_caps(r1, r2, r1)
 
 
 def asymptotic_outer_region(m: GaussianMacParams) -> RatePentagon:
@@ -378,18 +427,20 @@ def uninformed_rate_optimum(m: GaussianMacParams) -> tuple[float, float, float]:
 def _intercept_max(
     m: GaussianMacParams, rhos: Sequence[float], alphas: Sequence[float]
 ) -> tuple[float, float, float]:
-    """Best (value, rho, alpha) of min(r2, r3) subject to r1 >= 0 and r3 >= 0."""
-    best = (0.0, 0.0, 0.0)
-    for rho in rhos:
-        if abs(rho) >= 1.0:
-            continue
-        for alpha in alphas:
-            r1, r2, r3 = gdpc_rates(m, GdpcParams(rho, float(alpha)))
-            if r1 >= 0.0 and r3 >= 0.0:
-                value = min(r2, r3)
-                if value > best[0]:
-                    best = (value, rho, float(alpha))
-    return best
+    """Best (value, rho, alpha) of min(r2, r3) subject to r1 >= 0 and r3 >= 0.
+
+    Among the grid points (rho-major) with the largest positive value the
+    first wins; (0.0, 0.0, 0.0) when no feasible point has a positive value.
+    """
+    rhos = np.array([r for r in rhos if abs(r) < 1.0], dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
+    feasible, _, r2, r3 = _gdpc_kernel(m, rhos[:, None], alphas)
+    value = np.where(r3 < r2, r3, r2)  # min(r2, r3)
+    if not value.size or not value.max() > 0.0:
+        return (0.0, 0.0, 0.0)
+    k = int(np.argmax(value))  # first maximum
+    i, j = np.unravel_index(np.flatnonzero(feasible)[k], feasible.shape)
+    return (float(value[k]), float(rhos[i]), float(alphas[j]))
 
 
 def r2_max_curve(

@@ -30,6 +30,24 @@ def _plogp(p: float) -> float:
     return -p * math.log2(p)
 
 
+def map_floats(fn, a) -> np.ndarray:
+    """``fn`` applied to each element of ``a`` as a Python float; same shape.
+
+    Array kernels take logarithms and powers this way so that every element
+    goes through the same C library call as the scalar closed forms: numpy's
+    ``log2`` and ``power`` can round the last bit differently.
+    """
+    a = np.asarray(a, dtype=float)
+    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _plogp_array(p: np.ndarray) -> np.ndarray:
+    out = np.zeros(p.shape)
+    pos = ~(p <= 0.0)  # _plogp's branch, NaN included
+    out[pos] = -p[pos] * map_floats(math.log2, p[pos])
+    return out
+
+
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) variable, in bits.
 
@@ -40,6 +58,16 @@ def binary_entropy(p: float) -> float:
         raise ValueError(f"probability {p!r} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
     return _plogp(p) + _plogp(1.0 - p)
+
+
+def binary_entropy_array(p) -> np.ndarray:
+    """``binary_entropy`` of each element of ``p``, bit for bit."""
+    p = np.asarray(p, dtype=float)
+    out_of_range = (p < -PROB_TOL) | (p > 1.0 + PROB_TOL)
+    if out_of_range.any():
+        raise ValueError(f"probability {float(p[out_of_range][0])!r} outside [0, 1]")
+    p = np.clip(p, 0.0, 1.0)
+    return _plogp_array(p) + _plogp_array(1.0 - p)
 
 
 def binary_convolve(x: float, y: float) -> float:
@@ -104,6 +132,10 @@ class JointTable:
         arr = np.asarray(mass, dtype=float)
         if arr.size == 0:
             raise ValueError("joint table must be non-empty")
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"non-finite mass {float(arr[idx])!r} in joint table at index {idx}")
         if np.any(arr < -PROB_TOL):
             raise ValueError(f"negative mass in joint table: {arr.min()!r}")
         arr = np.clip(arr, 0.0, None)
@@ -184,7 +216,9 @@ __all__ = [
     "Pmf",
     "JointTable",
     "binary_entropy",
+    "binary_entropy_array",
     "binary_convolve",
+    "map_floats",
     "entropy",
     "conditional_mutual_information",
 ]

@@ -28,9 +28,9 @@ _ORIENT_FILTER = 4.0e-16
 class RatePentagon:
     """Caps (c1, c2, c12) of a region {R1 <= c1, R2 <= c2, R1+R2 <= c12}.
 
-    Caps are clamped to be nonnegative on construction; achievable-rate
-    expressions can produce negative raw values, and such a pentagon
-    contributes nothing beyond the clamped one.
+    Caps must be finite.  They are clamped to be nonnegative on construction;
+    achievable-rate expressions can produce negative raw values, and such a
+    pentagon contributes nothing beyond the clamped one.
     """
 
     c1: float
@@ -40,8 +40,8 @@ class RatePentagon:
     def __post_init__(self):
         for name in ("c1", "c2", "c12"):
             v = float(getattr(self, name))
-            if math.isnan(v):
-                raise ValueError(f"{name} is NaN")
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, max(v, 0.0))
 
     @property
@@ -188,20 +188,37 @@ def pentagon_vertices(p: RatePentagon) -> RegionPolygon:
 
 
 def union_region(pentagons: Sequence[RatePentagon]) -> RegionPolygon:
-    """Convex hull of the union of pentagon regions.
+    """Convex hull of the union of pentagon regions (see ``union_caps``)."""
+    caps = np.array([(p.c1, p.c2, p.c12) for p in pentagons], dtype=float).reshape(-1, 3)
+    return union_caps(*caps.T)
 
-    Every pentagon is down-closed (time sharing with silence is always
-    allowed), so the hull of the union is too, and its only vertices are the
-    origin, the largest point on each axis and Pareto-maximal pentagon
-    corners: a point dominated by another lies in that point's rectangle
-    [0, x] x [0, y] inside the hull, so it is a vertex only on an axis.  Each
-    pentagon's two possibly off-axis corners are collected, the dominated ones
-    dropped, and the rest hulled once with the exact predicate; the result
-    equals ``convex_hull_2d`` of every pentagon's vertices taken together.
+
+def union_caps(c1, c2, c12) -> RegionPolygon:
+    """Convex hull of the union of the pentagons with caps (c1[k], c2[k], c12[k]).
+
+    The array core behind ``union_region`` and every sweep: the cap arrays
+    broadcast against each other and are checked and clamped at 0 as
+    ``RatePentagon`` does.  Every pentagon is down-closed (time sharing with
+    silence is always allowed), so the hull of the union is too, and its only
+    vertices are the origin, the largest point on each axis and Pareto-maximal
+    pentagon corners: a point dominated by another lies in that point's
+    rectangle [0, x] x [0, y] inside the hull, so it is a vertex only on an
+    axis.  Each pentagon's two possibly off-axis corners are collected, the
+    dominated ones dropped, and the rest hulled once with the exact predicate;
+    the result equals ``convex_hull_2d`` of every pentagon's vertices taken
+    together.
     """
-    if not pentagons:
+    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c1, c2, c12)))
+    caps = [np.ravel(c) for c in arrays]
+    if not caps[0].size:
         raise ValueError("need at least one pentagon")
-    c1, c2, c12 = np.array([(p.c1_eff, p.c2_eff, p.c12) for p in pentagons]).T
+    for name, v in zip(("c1", "c2", "c12"), caps):
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise ValueError(f"{name} must be finite, got {float(v[bad][0])!r}")
+    c1, c2, c12 = (np.where(v < 0.0, 0.0, v) for v in caps)  # RatePentagon's max(v, 0.0)
+    c1 = np.where(c12 < c1, c12, c1)  # c1_eff = min(c1, c12)
+    c2 = np.where(c12 < c2, c12, c2)  # c2_eff
     x = np.concatenate([c1, np.minimum(c1, np.maximum(c12 - c2, 0.0))])
     y = np.concatenate([np.minimum(c2, np.maximum(c12 - c1, 0.0)), c2])
     order = np.lexsort((-y, -x))  # R1 descending, ties by R2 descending
@@ -313,6 +330,7 @@ __all__ = [
     "convex_hull_2d",
     "pentagon_vertices",
     "union_region",
+    "union_caps",
     "contains",
     "is_subset",
     "hausdorff",

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from macregion.binary_mac import BinaryDpcParams, BinaryMacParams, induced_dm_spec, inner_pentagon
+from macregion import cli
 from macregion.cli import (
+    FIGURE_PRESETS,
     DmSpecError,
+    RegionExport,
     load_dm_spec,
     main,
     rebuild_from_metadata,
@@ -134,6 +137,20 @@ class TestRegionExports:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_json_text_refuses_nan(self):
+        doc = {"metadata": {"units": "bits"}, "vertices": [[0.0, 0.0], [1.5, 0.25]]}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc["vertices"][1][0] = math.nan
+        with pytest.raises(ValueError):
+            cli._json_text(doc)
+
+    def test_nan_export_exits_2(self, monkeypatch, capsys):
+        nan_export = RegionExport({"units": "bits"}, [(0.0, 0.0), (math.nan, 0.0)])
+        monkeypatch.setattr(cli, "build_region_export", lambda *a, **k: nan_export)
+        assert main(["binary-outer", "--p1", "0.1", "--p2", "0.4", "--q", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_sample_step_exits_2(self, value, capsys):
         argv = ["binary-dpc", "--p1", "0.1", "--p2", "0.4", "--q", "0.2", f"--sample-step={value}"]
@@ -253,6 +270,17 @@ class TestFigurePresets:
         main(["figure", "fig2", "--out-dir", str(tmp_path), "--format", "json"])
         doc = json.loads((tmp_path / "fig2_outer.json").read_text())
         assert rebuild_from_metadata(doc["metadata"]).json_doc() == doc
+
+    @pytest.mark.parametrize("nats", [False, True])
+    @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+    def test_every_part_rebuilds_byte_for_byte(self, tmp_path, name, nats):
+        argv = ["figure", name, "--out-dir", str(tmp_path), "--format", "json"]
+        assert main(argv + (["--nats"] if nats else [])) == 0
+        for part, *_ in FIGURE_PRESETS[name]:
+            first = (tmp_path / f"{name}_{part}.json").read_bytes()
+            again = rebuild_from_metadata(json.loads(first)["metadata"])
+            rebuilt = json.dumps(again.json_doc(), indent=2, sort_keys=True) + "\n"
+            assert rebuilt.encode() == first
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):

@@ -127,6 +127,11 @@ class TestJointTable:
         with pytest.raises(ValueError):
             JointTable([[0.6, 0.6], [-0.1, -0.1]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mass(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite mass .* at index \(0, 1\)"):
+            JointTable([[0.5, bad], [0.25, 0.25]])
+
     def test_marginal_orders(self):
         t = random_table(np.random.default_rng(0), (2, 3, 2))
         np.testing.assert_allclose(t.marginal((0,)).sum(), 1.0, atol=1e-12)
