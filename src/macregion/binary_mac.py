@@ -21,7 +21,7 @@ import numpy as np
 
 from .dm_eval import DmChannelSpec
 from .info_measures import PROB_TOL, Pmf, binary_convolve, binary_entropy, binary_entropy_array
-from .region_geometry import RatePentagon, RegionPolygon, union_caps
+from .region_geometry import BLOCK_POINTS, RatePentagon, RegionPolygon, union_cap_blocks
 
 
 class InfeasibleParameters(ValueError):
@@ -118,25 +118,42 @@ def _pentagon_caps(m: BinaryMacParams, a10: np.ndarray, a01: np.ndarray):
     return c1, binary_entropy(m.p2), np.where(c12 < 0.0, 0.0, c12)
 
 
-def _feasible_mesh(m: BinaryMacParams, grid_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible (a10, a01) of the uniform grid over [0,1]^2, a10-major."""
+def _grid_axis(grid_steps: int) -> np.ndarray:
     if grid_steps < 2:
         raise ValueError("grid_steps must be >= 2")
-    axis = np.linspace(0.0, 1.0, grid_steps)
-    a10, a01 = np.meshgrid(axis, axis, indexing="ij")
+    return np.linspace(0.0, 1.0, grid_steps)
+
+
+def _feasible_mesh(m: BinaryMacParams, a10: np.ndarray, a01: np.ndarray):
+    """Feasible points of the grid a10 x a01, a10-major."""
+    a10, a01 = np.meshgrid(a10, a01, indexing="ij")
     keep = (1.0 - m.q) * a10 + m.q * (1.0 - a01) <= m.p1 + PROB_TOL  # is_feasible
     return a10[keep], a01[keep]
 
 
 def feasible_grid(m: BinaryMacParams, grid_steps: int) -> list[BinaryDpcParams]:
     """Uniform (a10, a01) grid over [0,1]^2 with infeasible points skipped."""
-    a10, a01 = _feasible_mesh(m, grid_steps)
+    axis = _grid_axis(grid_steps)
+    a10, a01 = _feasible_mesh(m, axis, axis)
     return [BinaryDpcParams(a, b) for a, b in zip(a10.tolist(), a01.tolist())]
 
 
 def inner_region(m: BinaryMacParams, grid_steps: int = 41) -> RegionPolygon:
-    """Convex closure of the pentagon union over the feasible (a10, a01) grid."""
-    return union_caps(*_pentagon_caps(m, *_feasible_mesh(m, grid_steps)))
+    """Convex closure of the pentagon union over the feasible (a10, a01) grid.
+
+    The grid is evaluated a block of whole a10 rows at a time; a block
+    without a feasible point is skipped.
+    """
+    axis = _grid_axis(grid_steps)
+    step = max(1, BLOCK_POINTS // grid_steps)
+
+    def blocks():
+        for i in range(0, grid_steps, step):
+            a10, a01 = _feasible_mesh(m, axis[i : i + step], axis)
+            if a10.size:
+                yield _pentagon_caps(m, a10, a01)
+
+    return union_cap_blocks(blocks())
 
 
 def outer_region(m: BinaryMacParams) -> RatePentagon:

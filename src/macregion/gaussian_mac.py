@@ -32,7 +32,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .info_measures import map_floats
-from .region_geometry import RatePentagon, RegionPolygon, convex_hull_2d, union_caps
+from .region_geometry import (
+    BLOCK_POINTS,
+    RatePentagon,
+    RegionPolygon,
+    union_cap_blocks,
+    union_caps,
+)
 
 _TOL = 1e-12
 
@@ -272,9 +278,17 @@ def _gdpc_kernel(m: GaussianMacParams, rho, alpha):
 
 
 def _gdpc_union(m: GaussianMacParams, rhos: Sequence[float], alphas) -> RegionPolygon:
-    """Union of the feasible (r1, r3 >= 0) GDPC pentagons; the origin if none."""
-    _, r1, r2, r3 = _gdpc_kernel(m, np.array(rhos, dtype=float)[:, None], alphas)
-    return union_caps(r1, r2, r3) if r1.size else convex_hull_2d([])
+    """Union of the feasible (r1, r3 >= 0) GDPC pentagons; the origin if none.
+
+    The grid is evaluated a block of whole alpha columns at a time, so each
+    (1 - alpha)^2 is taken once.
+    """
+    rhos = np.array(rhos, dtype=float)[:, None]
+    alphas = np.asarray(alphas, dtype=float)
+    step = max(1, BLOCK_POINTS // max(1, len(rhos)))
+    return union_cap_blocks(
+        _gdpc_kernel(m, rhos, alphas[j : j + step])[1:] for j in range(0, alphas.size, step)
+    )
 
 
 def inner_region(

@@ -19,6 +19,12 @@ import numpy as np
 #: Absolute cross-product tolerance below which hull vertices count as collinear.
 COLLINEAR_TOL = 1e-12
 
+#: Grid points a sweep evaluates at once (see ``union_cap_blocks``).  A block's
+#: arrays stay a few tens of kilobytes, which the C allocator keeps for reuse;
+#: whole-grid arrays (hundreds of kilobytes each) go back to the kernel when
+#: freed and are page-faulted in again by the next sweep.
+BLOCK_POINTS = 4096
+
 # Relative rounding bound for the floating-point orientation filter; cross
 # products with smaller magnitude are recomputed exactly.
 _ORIENT_FILTER = 4.0e-16
@@ -196,38 +202,73 @@ def union_region(pentagons: Sequence[RatePentagon]) -> RegionPolygon:
 def union_caps(c1, c2, c12) -> RegionPolygon:
     """Convex hull of the union of the pentagons with caps (c1[k], c2[k], c12[k]).
 
-    The array core behind ``union_region`` and every sweep: the cap arrays
-    broadcast against each other and are checked and clamped at 0 as
-    ``RatePentagon`` does.  Every pentagon is down-closed (time sharing with
-    silence is always allowed), so the hull of the union is too, and its only
-    vertices are the origin, the largest point on each axis and Pareto-maximal
-    pentagon corners: a point dominated by another lies in that point's
-    rectangle [0, x] x [0, y] inside the hull, so it is a vertex only on an
-    axis.  Each pentagon's two possibly off-axis corners are collected, the
-    dominated ones dropped, and the rest hulled once with the exact predicate;
-    the result equals ``convex_hull_2d`` of every pentagon's vertices taken
-    together.
+    The cap arrays broadcast against each other and are checked and clamped
+    at 0 as ``RatePentagon`` does; the hull is ``union_cap_blocks``'s.
     """
-    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c1, c2, c12)))
-    caps = [np.ravel(c) for c in arrays]
-    if not caps[0].size:
+    caps = tuple(np.asarray(c, dtype=float) for c in (c1, c2, c12))
+    if not np.broadcast(*caps).size:
         raise ValueError("need at least one pentagon")
-    for name, v in zip(("c1", "c2", "c12"), caps):
+    return union_cap_blocks([caps])
+
+
+def union_cap_blocks(blocks) -> RegionPolygon:
+    """Convex hull of the union of pentagons whose caps arrive in blocks.
+
+    The array core behind ``union_caps`` and every sweep.  ``blocks`` yields
+    (c1, c2, c12) triples of cap arrays that broadcast against each other;
+    a block may be empty, and with no pentagon at all the region is the
+    origin.  A sweep hands over its grid one block of ``BLOCK_POINTS`` points
+    at a time, so it never holds arrays of the whole grid.
+
+    Every pentagon is down-closed (time sharing with silence is always
+    allowed), so the hull of the union is too, and its only vertices are the
+    origin, the largest point on each axis and Pareto-maximal pentagon
+    corners: a point dominated by another lies in that point's rectangle
+    [0, x] x [0, y] inside the hull, so it is a vertex only on an axis.  Each
+    pentagon's two possibly off-axis corners are collected, the dominated
+    ones dropped within each block and again across blocks, and the rest
+    hulled once with the exact predicate; the result equals
+    ``convex_hull_2d`` of every pentagon's vertices taken together, however
+    the pentagons are split into blocks.
+    """
+    xs, ys = [], []
+    for caps in blocks:
+        caps = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in caps))
+        if caps[0].size:
+            x, y = _pareto_corners(*(np.ravel(c) for c in caps))
+            xs.append(x)
+            ys.append(y)
+    if not xs:
+        return convex_hull_2d([])
+    x, y = _pareto(np.concatenate(xs), np.concatenate(ys))
+    points = list(zip(x.tolist(), y.tolist()))
+    # R1 falls and R2 rises along the Pareto corners: x[0] is the largest
+    # R1 of any pentagon, y[-1] the largest R2.
+    points += [(float(x[0]), 0.0), (0.0, float(y[-1]))]
+    return convex_hull_2d(points)
+
+
+def _pareto_corners(c1, c2, c12) -> tuple[np.ndarray, np.ndarray]:
+    """Pareto-maximal off-axis corners of the pentagons with 1-D caps c1, c2, c12."""
+    for name, v in zip(("c1", "c2", "c12"), (c1, c2, c12)):
         bad = ~np.isfinite(v)
         if bad.any():
             raise ValueError(f"{name} must be finite, got {float(v[bad][0])!r}")
-    c1, c2, c12 = (np.where(v < 0.0, 0.0, v) for v in caps)  # RatePentagon's max(v, 0.0)
+    c1, c2, c12 = (np.where(v < 0.0, 0.0, v) for v in (c1, c2, c12))  # RatePentagon's max(v, 0.0)
     c1 = np.where(c12 < c1, c12, c1)  # c1_eff = min(c1, c12)
     c2 = np.where(c12 < c2, c12, c2)  # c2_eff
     x = np.concatenate([c1, np.minimum(c1, np.maximum(c12 - c2, 0.0))])
     y = np.concatenate([np.minimum(c2, np.maximum(c12 - c1, 0.0)), c2])
+    return _pareto(x, y)
+
+
+def _pareto(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct Pareto-maximal points of (x, y) >= 0, x descending (y ascending)."""
     order = np.lexsort((-y, -x))  # R1 descending, ties by R2 descending
     x, y = x[order], y[order]
     best_before = np.maximum.accumulate(np.concatenate(([-1.0], y[:-1])))
     keep = y > best_before  # no corner with larger (or equal) R1 reaches this R2
-    points = list(zip(x[keep].tolist(), y[keep].tolist()))
-    points += [(float(c1.max()), 0.0), (0.0, float(c2.max()))]
-    return convex_hull_2d(points)
+    return x[keep], y[keep]
 
 
 def _segment_distance(p, a, b) -> float:
@@ -331,6 +372,8 @@ __all__ = [
     "pentagon_vertices",
     "union_region",
     "union_caps",
+    "union_cap_blocks",
+    "BLOCK_POINTS",
     "contains",
     "is_subset",
     "hausdorff",

@@ -1,6 +1,6 @@
 """Array sweep kernels against the scalar closed forms they vectorise.
 
-Every sweep evaluates its rate expressions on a whole grid at once.  The
+Every sweep evaluates its rate expressions on whole grid blocks at once.  The
 scalar functions (``gdpc_rates``, ``asymptotic_rates``, ``inner_pentagon``)
 stay the reference: each kernel must reproduce them exactly (``==``), and each
 swept region must equal, vertex for vertex, the per-point route that builds
@@ -16,8 +16,15 @@ from hypothesis import strategies as st
 
 from macregion import binary_mac as B
 from macregion import gaussian_mac as G
+from macregion import region_geometry as R
 from macregion.info_measures import binary_entropy, binary_entropy_array
-from macregion.region_geometry import RatePentagon, convex_hull_2d, union_caps, union_region
+from macregion.region_geometry import (
+    RatePentagon,
+    convex_hull_2d,
+    union_cap_blocks,
+    union_caps,
+    union_region,
+)
 
 positive = st.floats(min_value=0.01, max_value=2000.0)
 gaussian_params = st.builds(
@@ -271,6 +278,25 @@ class TestRegionsEqualThePerPointRoute:
     def test_binary_random(self, m, grid_steps):
         assert B.inner_region(m, grid_steps).vertices == old_binary_region(m, grid_steps).vertices
 
+    @pytest.mark.parametrize("block_points", [1, 100, 1000])
+    def test_sweeps_in_blocks(self, monkeypatch, block_points):
+        # 1 gives one alpha column (Gaussian) or a10 row (binary) per block,
+        # 100 and 1000 several; some blocks hold no feasible point.
+        monkeypatch.setattr(G, "BLOCK_POINTS", block_points)
+        monkeypatch.setattr(B, "BLOCK_POINTS", block_points)
+        for m in FIGURE_GAUSSIAN:
+            assert G.inner_region(m, 21, 81).vertices == old_gaussian_region(m, 21, 81).vertices
+        for m in FIGURE_BINARY:
+            assert B.inner_region(m, 41).vertices == old_binary_region(m, 41).vertices
+
+    def test_dense_grids_span_several_blocks(self):
+        assert 101 * 401 > 4 * R.BLOCK_POINTS and 201 * 201 > 4 * R.BLOCK_POINTS
+        for m in (G.GaussianMacParams(1980.0, 50.0, 5.0, 60.0),
+                  G.GaussianMacParams(15.5, 50.0, 495.0, 60.0)):
+            assert G.inner_region(m, 101, 401).vertices == old_gaussian_region(m, 101, 401).vertices
+        m = B.BinaryMacParams(0.4513, 0.1, 0.2017)
+        assert B.inner_region(m, 201).vertices == old_binary_region(m, 201).vertices
+
     def test_r2_max_curve(self, monkeypatch):
         m = G.GaussianMacParams(15, 50, 20, 60)
         q_values = [1.0, 5.0, 20.0, 100.0]
@@ -297,6 +323,21 @@ class TestUnionCaps:
         with pytest.raises(ValueError, match="at least one"):
             union_caps(np.array([]), np.array([]), np.array([]))
 
+    @given(st.lists(st.tuples(*[st.floats(min_value=-1.0, max_value=3.0)] * 3),
+                    min_size=1, max_size=12),
+           st.lists(st.integers(min_value=0, max_value=12), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_equal_one_array(self, caps, cuts):
+        c1, c2, c12 = np.array(caps).T
+        bounds = [0, *sorted(cuts), len(caps)]  # repeated cuts give empty blocks
+        blocks = [(c1[a:b], c2[a:b], c12[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert union_cap_blocks(blocks).vertices == union_caps(c1, c2, c12).vertices
+
+    def test_no_pentagon_is_the_origin(self):
+        empty = np.array([])
+        assert union_cap_blocks([]).vertices == ((0.0, 0.0),)
+        assert union_cap_blocks([(empty, 1.0, empty)] * 2).vertices == ((0.0, 0.0),)
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("position", [0, 1, 2])
@@ -314,3 +355,10 @@ class TestNonFiniteCaps:
         name = ("c1", "c2", "c12")[position]
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
             union_caps(*caps)
+
+    def test_union_cap_blocks_names_the_cap(self, bad, position):
+        caps = [np.array([1.0, 0.5]), np.array([1.0, 0.5]), np.array([1.5, 0.7])]
+        caps[position][1] = bad
+        name = ("c1", "c2", "c12")[position]
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+            union_cap_blocks([tuple(c[:1] for c in caps), tuple(caps)])
