@@ -132,20 +132,76 @@ def gdpc_rates(m: GaussianMacParams, g: GdpcParams) -> RateTriple:
     return RateTriple(r1, r2, r3)
 
 
-def _gaussian_cmi(cov: np.ndarray, a: tuple[int, ...], b: tuple[int, ...],
-                  given: tuple[int, ...] = ()) -> float:
-    """I(A; B | C) in bits for jointly Gaussian variables, via determinants."""
+def _stacked_logdet(cov: np.ndarray):
+    """log det of ``cov``'s principal sub-blocks over a (..., n, n) covariance stack.
 
-    def logdet(idx: tuple[int, ...]) -> float:
-        if not idx:
-            return 0.0
-        sign, val = np.linalg.slogdet(cov[np.ix_(idx, idx)])
-        if sign <= 0:
-            raise ValueError("singular covariance block in mutual-information ratio")
-        return val
+    Raises unless every matrix is positive semidefinite, to within
+    1e-9 * max(1, its largest |entry|).  Returns ``logdet(idx)``, memoised per
+    ordered index tuple: one stacked ``slogdet`` for each distinct tuple, 0.0
+    for the empty one; it raises if the block is singular in any matrix.  The
+    rows and columns are taken in the tuple's order, as ``np.ix_(idx, idx)``
+    takes them; a permuted block factorises to different last bits.
+    """
+    floor = -1e-9 * np.maximum(1.0, np.abs(cov).max(axis=(-2, -1)))
+    if (np.linalg.eigvalsh(cov).min(axis=-1) < floor).any():
+        raise ValueError("covariance is not positive semidefinite")
+    cache: dict[tuple[int, ...], np.ndarray | float] = {(): 0.0}
 
+    def logdet(idx: tuple[int, ...]):
+        if idx not in cache:
+            rows = list(idx)
+            sign, val = np.linalg.slogdet(cov[..., rows, :][..., :, rows])
+            if (sign <= 0).any():
+                raise ValueError("singular covariance block in mutual-information ratio")
+            cache[idx] = val
+        return cache[idx]
+
+    return logdet
+
+
+def _gaussian_cmi(logdet, a: tuple[int, ...], b: tuple[int, ...],
+                  given: tuple[int, ...] = ()):
+    """I(A; B | C) in bits for jointly Gaussian variables, via ``logdet`` of their blocks."""
     nats = logdet(a + given) + logdet(b + given) - logdet(given) - logdet(a + b + given)
     return 0.5 * nats / math.log(2.0)
+
+
+def _covariance_caps(m: GaussianMacParams, rho, alpha):
+    """(r1, r2, r3) of ``rates_from_covariance`` on broadcast (rho, alpha) arrays.
+
+    Builds the (..., 5, 5) covariance stack and reads the caps off it with
+    one stacked ``eigvalsh`` and one stacked ``slogdet`` per distinct index
+    tuple; each entry equals the one-point route bit for bit.  Raises if
+    Q <= 0, or if any matrix in the stack is not positive semidefinite or has
+    a singular block.  |rho| < 1 is the caller's to ensure.
+    """
+    rho, alpha = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(alpha, dtype=float))
+    if m.Q <= 0.0:
+        raise ValueError("covariance route needs Q > 0 (state must have variance)")
+    p1, p2, q, n = m.P1, m.P2, m.Q, m.N
+    cross = rho * math.sqrt(p1 * q)
+    var_u = p1 + alpha * alpha * q + 2.0 * alpha * cross
+    cov_us = cross + alpha * q
+    cov_uy = p1 + alpha * q + (1.0 + alpha) * cross
+    # Order: S, X1, U1, X2, Y
+    rows = [
+        [q, cross, cov_us, 0.0, q + cross],
+        [cross, p1, p1 + alpha * cross, 0.0, p1 + cross],
+        [cov_us, p1 + alpha * cross, var_u, 0.0, cov_uy],
+        [0.0, 0.0, 0.0, p2, p2],
+        [q + cross, p1 + cross, cov_uy, p2, p1 + p2 + q + n + 2.0 * cross],
+    ]
+    cov = np.empty(rho.shape + (5, 5))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            cov[..., i, j] = entry
+    logdet = _stacked_logdet(cov)
+    s, u1, x2, y = (0,), (2,), (3,), (4,)
+    leak = _gaussian_cmi(logdet, u1, s)
+    r1 = _gaussian_cmi(logdet, u1, y, x2) - leak
+    r2 = _gaussian_cmi(logdet, x2, y, u1)
+    r3 = _gaussian_cmi(logdet, u1 + x2, y) - leak
+    return r1, r2, r3
 
 
 def rates_from_covariance(m: GaussianMacParams, g: GdpcParams) -> RateTriple:
@@ -160,35 +216,10 @@ def rates_from_covariance(m: GaussianMacParams, g: GdpcParams) -> RateTriple:
         r3 = I(U1, X2; Y) - I(U1; S)
 
     as Gaussian entropy determinant ratios.  Requires all variances positive.
+    The one-point call of ``_covariance_caps``.
     """
     _check_rho(g.rho)
-    if m.Q <= 0.0:
-        raise ValueError("covariance route needs Q > 0 (state must have variance)")
-    rho, alpha = g.rho, g.alpha
-    p1, p2, q, n = m.P1, m.P2, m.Q, m.N
-    cross = rho * math.sqrt(p1 * q)
-    var_u = p1 + alpha * alpha * q + 2.0 * alpha * cross
-    cov_us = cross + alpha * q
-    cov_uy = p1 + alpha * q + (1.0 + alpha) * cross
-    # Order: S, X1, U1, X2, Y
-    cov = np.array(
-        [
-            [q, cross, cov_us, 0.0, q + cross],
-            [cross, p1, p1 + alpha * cross, 0.0, p1 + cross],
-            [cov_us, p1 + alpha * cross, var_u, 0.0, cov_uy],
-            [0.0, 0.0, 0.0, p2, p2],
-            [q + cross, p1 + cross, cov_uy, p2, p1 + p2 + q + n + 2.0 * cross],
-        ]
-    )
-    floor = -1e-9 * max(1.0, float(np.abs(cov).max()))
-    if np.linalg.eigvalsh(cov).min() < floor:
-        raise ValueError("covariance is not positive semidefinite")
-    s, u1, x2, y = (0,), (2,), (3,), (4,)
-    leak = _gaussian_cmi(cov, u1, s)
-    r1 = _gaussian_cmi(cov, u1, y, x2) - leak
-    r2 = _gaussian_cmi(cov, x2, y, u1)
-    r3 = _gaussian_cmi(cov, u1 + x2, y) - leak
-    return RateTriple(r1, r2, r3)
+    return RateTriple(*(float(r) for r in _covariance_caps(m, g.rho, g.alpha)))
 
 
 def feasible_alpha_interval(
@@ -338,7 +369,8 @@ def asymptotic_rates(m: GaussianMacParams, g: GdpcParams) -> RateTriple:
         r1 = r3 = (1/2) log2( c / (c (1-alpha)^2 + alpha^2 N) )
         r2      = (1/2) log2( 1 + P2 / (N + c (1-alpha)^2 / alpha^2) )
 
-    with c = P1 (1 - rho^2); r2 = 0 at alpha = 0.  alpha must lie in
+    with c = P1 (1 - rho^2); r2 = 0, its limit, where alpha^2 is 0 (at
+    alpha = 0, and where alpha * alpha underflows).  alpha must lie in
     [0, 2c/(c+N)], where r1 is nonnegative.
     """
     _check_rho(g.rho)
@@ -348,7 +380,7 @@ def asymptotic_rates(m: GaussianMacParams, g: GdpcParams) -> RateTriple:
         raise ValueError(f"alpha={alpha!r} outside the feasible range [0, {upper!r}]")
     c = m.P1 * (1.0 - g.rho * g.rho)
     r1 = 0.5 * math.log2(c / (c * (1.0 - alpha) ** 2 + alpha * alpha * m.N))
-    if alpha == 0.0:
+    if alpha * alpha == 0.0:
         r2 = 0.0
     else:
         r2 = 0.5 * math.log2(
@@ -360,9 +392,9 @@ def asymptotic_rates(m: GaussianMacParams, g: GdpcParams) -> RateTriple:
 def _asymptotic_caps(m: GaussianMacParams, rho, alpha):
     """(r1, r2) of ``asymptotic_rates`` on broadcast (rho, alpha) arrays, bit for bit.
 
-    alpha must lie in each rho's feasible range.  r2 = 0 at alpha = 0, and also
-    where alpha * alpha underflows to 0 (its limit there; the scalar form
-    divides by zero).
+    alpha must lie in each rho's feasible range.  As in the scalar form, r2 = 0
+    where alpha * alpha is 0 (it may underflow), and where c (1-alpha)^2 /
+    alpha^2 overflows to inf, which a Python float division does silently.
     """
     rho, alpha = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(alpha, dtype=float))
     c = m.P1 * (1.0 - rho * rho)
@@ -371,7 +403,9 @@ def _asymptotic_caps(m: GaussianMacParams, rho, alpha):
     r1 = 0.5 * map_floats(math.log2, c / (c * sq + a2 * m.N))
     r2 = np.zeros(alpha.shape)
     on = a2 != 0.0
-    r2[on] = 0.5 * map_floats(math.log2, 1.0 + m.P2 / (m.N + c[on] * sq[on] / a2[on]))
+    with np.errstate(over="ignore"):
+        state = c[on] * sq[on] / a2[on]
+    r2[on] = 0.5 * map_floats(math.log2, 1.0 + m.P2 / (m.N + state))
     return r1, r2
 
 

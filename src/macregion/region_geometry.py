@@ -315,16 +315,23 @@ def contains(region, point: tuple[float, float], tol: float = 0.0) -> bool:
     return _distance_to_region((float(point[0]), float(point[1])), region) <= tol
 
 
+def directed_hausdorff(a, b) -> float:
+    """Worst distance of a vertex of convex ``a`` from convex ``b`` (bits); 0 if a is in b.
+
+    A point's distance to a convex region is convex in the point, so the
+    worst point of ``a`` is one of its vertices.
+    """
+    return max((_distance_to_region(v, b) for v in _vertices_of(a)), default=0.0)
+
+
 def is_subset(a, b, tol: float = 0.0) -> bool:
     """True when every vertex of convex ``a`` lies in convex ``b`` within tol."""
-    return all(contains(b, v, tol) for v in _vertices_of(a))
+    return directed_hausdorff(a, b) <= tol
 
 
 def hausdorff(a, b) -> float:
     """Symmetric Hausdorff distance between two convex regions, in bits."""
-    d_ab = max(_distance_to_region(v, b) for v in _vertices_of(a))
-    d_ba = max(_distance_to_region(v, a) for v in _vertices_of(b))
-    return max(d_ab, d_ba)
+    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
 def polygon_area(region: RegionPolygon) -> float:
@@ -376,6 +383,7 @@ __all__ = [
     "BLOCK_POINTS",
     "contains",
     "is_subset",
+    "directed_hausdorff",
     "hausdorff",
     "polygon_area",
     "max_r2_at",

@@ -147,13 +147,11 @@ class TestAsymptoticKernel:
            st.lists(st.tuples(st.one_of(st.just(0.0),
                                         st.floats(min_value=-0.999999, max_value=0.0)),
                               st.one_of(st.just(0.0), st.just(1.0),
-                                        st.floats(min_value=1e-6, max_value=1.0))),
+                                        st.floats(min_value=0.0, max_value=1.0))),
                     min_size=1, max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_equals_asymptotic_rates(self, m, draws):
         # alpha is drawn as a fraction of each rho's feasible range [0, 2c/(c+N)].
-        # Not below 1e-6: where alpha * alpha underflows to 0 the scalar
-        # reference divides by zero.
         points = [(rho, frac * G.asymptotic_alpha_max(m, rho)) for rho, frac in draws]
         points += [(rho, min(1.0, G.asymptotic_alpha_max(m, rho))) for rho, _ in draws]
         rho, alpha = np.array(points).T
@@ -168,6 +166,16 @@ class TestAsymptoticKernel:
         r1, r2 = G._asymptotic_caps(m, -0.3, alpha)
         expected = [G.asymptotic_rates(m, G.GdpcParams(-0.3, a)) for a in alpha.tolist()]
         assert list(zip(r1.tolist(), r2.tolist())) == [(t.r1, t.r2) for t in expected]
+
+    @pytest.mark.parametrize("alpha", [1.44e-185, 5e-324, 1e-155])
+    def test_vanishing_alpha_equals_scalar(self, alpha):
+        # alpha * alpha underflows to 0 (the first two), or is subnormal and
+        # c (1 - alpha)^2 / alpha^2 overflows (the last): r2 = 0 either way.
+        m = G.GaussianMacParams(15, 50, 20, 60)
+        r1, r2 = G._asymptotic_caps(m, 0.0, np.array([alpha]))
+        expected = G.asymptotic_rates(m, G.GdpcParams(0.0, alpha))
+        assert (r1.tolist(), r2.tolist()) == ([expected.r1], [expected.r2])
+        assert expected.r2 == 0.0
 
     def test_zero_alpha_gives_zero_r2_without_warnings(self):
         m = G.GaussianMacParams(15, 50, 20, 60)
