@@ -181,6 +181,15 @@ def capacity_max_entropy_state(m: BinaryMacParams) -> RatePentagon:
     return RatePentagon(c12, binary_entropy(m.p2), c12)
 
 
+_BIT = np.arange(2)
+# The deterministic tables of the construction, built once:
+# X1 = U1 xor S as x1_given_u1sq[u1, s, 0, x1] and Y = X1 xor X2 xor S as
+# y_given_x1x2s[x1, x2, s, y].
+_X1_GIVEN_U1SQ = np.eye(2)[_BIT[:, None] ^ _BIT][:, :, None, :]
+_Y_GIVEN_X1X2S = np.eye(2)[_BIT[:, None, None] ^ _BIT[:, None] ^ _BIT]
+_NO_TIME_SHARING = Pmf([1.0])
+
+
 def induced_dm_spec(m: BinaryMacParams, d: BinaryDpcParams) -> DmChannelSpec:
     """Six-variable channel spec realizing the binary construction.
 
@@ -194,24 +203,13 @@ def induced_dm_spec(m: BinaryMacParams, d: BinaryDpcParams) -> DmChannelSpec:
             [[1.0 - d.a01, d.a01]],  # S=1: U1 = X1 xor 1, P(U1=1) = P(X1=0) = a01
         ]
     )
-    # X1 = U1 xor S, deterministic.
-    x1_given_u1sq = np.zeros((2, 2, 1, 2))
-    for u in range(2):
-        for s in range(2):
-            x1_given_u1sq[u, s, 0, u ^ s] = 1.0
-    # Y = X1 xor X2 xor S, deterministic.
-    y_given_x1x2s = np.zeros((2, 2, 2, 2))
-    for x1 in range(2):
-        for x2 in range(2):
-            for s in range(2):
-                y_given_x1x2s[x1, x2, s, x1 ^ x2 ^ s] = 1.0
     return DmChannelSpec(
-        q_dist=Pmf([1.0]),
+        q_dist=_NO_TIME_SHARING,
         s_dist=Pmf([1.0 - m.q, m.q]),
         u1_given_sq=u1_given_sq,
-        x1_given_u1sq=x1_given_u1sq,
+        x1_given_u1sq=_X1_GIVEN_U1SQ,
         x2_given_q=np.array([[1.0 - m.p2, m.p2]]),
-        y_given_x1x2s=y_given_x1x2s,
+        y_given_x1x2s=_Y_GIVEN_X1X2S,
     )
 
 

@@ -20,6 +20,7 @@ with each cap clamped at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,9 @@ from .info_measures import (
     PROB_TOL,
     JointTable,
     Pmf,
-    conditional_mutual_information,
+    _checked_tables,
+    _cmi,
+    _marginal_entropies,
 )
 from .region_geometry import RatePentagon
 
@@ -40,9 +43,10 @@ MAX_TIME_SHARING = 4
 
 
 def _table(value, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = np.array(value, dtype=float, order="C")  # a copy: the spec's tables never change
     if arr.ndim != ndim:
         raise ValueError(f"{name} must have {ndim} axes, got {arr.ndim}")
+    arr.setflags(write=False)
     return arr
 
 
@@ -52,7 +56,8 @@ class DmChannelSpec:
 
     Conditional tables are indexed with the conditioning variables first, in
     the order their names state, e.g. ``u1_given_sq[s, q, u1]`` and
-    ``y_given_x1x2s[x1, x2, s, y]``.
+    ``y_given_x1x2s[x1, x2, s, y]``.  The spec holds read-only C-ordered
+    copies of its tables, so ``validate_spec`` diagnoses each spec once.
     """
 
     q_dist: Pmf
@@ -83,6 +88,10 @@ class DmChannelSpec:
             "Y": self.y_given_x1x2s.shape[3],
         }
 
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        return tuple(_diagnose(self))
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -92,16 +101,21 @@ class Diagnostic:
 
 
 def _check_rows(arr: np.ndarray, name: str, out: list[Diagnostic]) -> None:
-    """Flag conditional rows that are not valid pmfs."""
+    """Flag conditional rows that are not valid pmfs.
+
+    The rows are screened as one array; only flagged rows build a message.
+    """
     rows = arr.reshape(-1, arr.shape[-1])
-    for flat_i, row in enumerate(rows):
+    negative = np.logical_or.reduce(rows < -PROB_TOL, axis=1)
+    off_total = abs(np.add.reduce(rows, axis=1) - 1.0) > PROB_TOL
+    for flat_i in (negative | off_total).nonzero()[0].tolist():
+        row = rows[flat_i]
         idx = np.unravel_index(flat_i, arr.shape[:-1]) if arr.ndim > 1 else ()
         loc = name + "".join(f"[{i}]" for i in idx)
-        if np.any(row < -PROB_TOL):
+        if negative[flat_i]:
             out.append(Diagnostic("error", loc, f"negative probability {row.min()!r}"))
-        total = float(row.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            out.append(Diagnostic("error", loc, f"row sums to {total!r}, not 1"))
+        if off_total[flat_i]:
+            out.append(Diagnostic("error", loc, f"row sums to {float(row.sum())!r}, not 1"))
 
 
 def validate_spec(spec: DmChannelSpec) -> list[Diagnostic]:
@@ -109,8 +123,12 @@ def validate_spec(spec: DmChannelSpec) -> list[Diagnostic]:
 
     Returns an empty list for a fully consistent spec.  Cardinality findings
     are advisories: alphabets beyond the caps cannot enlarge the region but
-    are still evaluated.
+    are still evaluated.  Computed on the first call for a spec and reused.
     """
+    return list(spec._diagnostics)
+
+
+def _diagnose(spec: DmChannelSpec) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     sizes = spec.alphabet_sizes
     nq, ns, nu, nx1, nx2 = sizes["Q"], sizes["S"], sizes["U1"], sizes["X1"], sizes["X2"]
@@ -155,42 +173,76 @@ def validate_spec(spec: DmChannelSpec) -> list[Diagnostic]:
     return out
 
 
+def _raise_on_errors(spec: DmChannelSpec) -> None:
+    """Raise ValueError naming the first error-level diagnostic of ``spec``."""
+    errors = [d for d in validate_spec(spec) if d.level == "error"]
+    if errors:
+        d = errors[0]
+        raise ValueError(f"invalid channel spec at {d.location}: {d.message}"
+                         + (f" (+{len(errors) - 1} more)" if len(errors) > 1 else ""))
+
+
+def _joint_masses(specs: Sequence[DmChannelSpec]) -> np.ndarray:
+    """Unnormalised (K, |Q|, |S|, |U1|, |X1|, |X2|, |Y|) joints of validated specs.
+
+    One einsum over the stacked tables; every spec must have the same
+    alphabets.  The einsum has no summed index, so each cell is the same
+    product, in the same order, as in a one-spec einsum.
+    """
+    sizes = specs[0].alphabet_sizes
+    for spec in specs[1:]:
+        if spec.alphabet_sizes != sizes:
+            raise ValueError(
+                f"stacked specs need equal alphabets, got {spec.alphabet_sizes} and {sizes}"
+            )
+    tables = zip(*[
+        (s.q_dist.atoms, s.s_dist.atoms, s.u1_given_sq, s.x1_given_u1sq, s.x2_given_q,
+         s.y_given_x1x2s)
+        for s in specs
+    ])
+    return np.einsum("kq,ks,ksqu,kusqa,kqb,kabsy->kqsuaby", *map(np.stack, tables), optimize=True)
+
+
 def induced_joint(spec: DmChannelSpec) -> JointTable:
     """Joint table over (Q, S, U1, X1, X2, Y) induced by the factorization.
 
     Raises ValueError on inconsistent alphabet sizes or broken normalization
     (advisory-level diagnostics do not block evaluation).
     """
-    errors = [d for d in validate_spec(spec) if d.level == "error"]
-    if errors:
-        d = errors[0]
-        raise ValueError(f"invalid channel spec at {d.location}: {d.message}"
-                         + (f" (+{len(errors) - 1} more)" if len(errors) > 1 else ""))
-    mass = np.einsum(
-        "q,s,squ,usqa,qb,absy->qsuaby",
-        spec.q_dist.atoms,
-        spec.s_dist.atoms,
-        spec.u1_given_sq,
-        spec.x1_given_u1sq,
-        spec.x2_given_q,
-        spec.y_given_x1x2s,
-        optimize=True,
-    )
-    return JointTable(mass)
+    _raise_on_errors(spec)
+    return JointTable(_joint_masses([spec])[0])
+
+
+def inner_bound_pentagons(specs: Sequence[DmChannelSpec]) -> list[RatePentagon]:
+    """``inner_bound_pentagon`` of each spec, evaluated as one stack.
+
+    Every spec is checked with ``validate_spec`` first; the first invalid one
+    raises the error ``induced_joint`` raises for it.  The specs must share
+    their alphabets.  The joint tables are built by one einsum and checked as
+    ``JointTable`` checks them, and each marginal entropy the four CMIs need
+    is computed once for the whole stack; every cap equals the one-spec
+    evaluation bit for bit.  No specs give no pentagons.
+    """
+    for spec in specs:
+        _raise_on_errors(spec)
+    if not specs:
+        return []
+    entropy_of = _marginal_entropies(_checked_tables(_joint_masses(specs)))
+    leak = _cmi(entropy_of, (U1,), (S,), (Q,))
+    c1 = _cmi(entropy_of, (U1,), (Y,), (X2, Q)) - leak
+    c2 = _cmi(entropy_of, (X2,), (Y,), (U1, Q))
+    c12 = _cmi(entropy_of, (U1, X2), (Y,), (Q,)) - leak
+    return [RatePentagon(*caps) for caps in zip(c1.tolist(), c2.tolist(), c12.tolist())]
 
 
 def inner_bound_pentagon(spec: DmChannelSpec) -> RatePentagon:
     """Achievable pentagon of the channel spec, computed exactly.
 
     The informed encoder's binning against the state costs I(U1; S | Q) on
-    both the R1 and the sum cap; negative raw caps clamp to zero.
+    both the R1 and the sum cap; negative raw caps clamp to zero.  The
+    one-spec call of ``inner_bound_pentagons``.
     """
-    t = induced_joint(spec)
-    leak = conditional_mutual_information(t, U1, S, (Q,))
-    c1 = conditional_mutual_information(t, U1, Y, (X2, Q)) - leak
-    c2 = conditional_mutual_information(t, X2, Y, (U1, Q))
-    c12 = conditional_mutual_information(t, (U1, X2), Y, (Q,)) - leak
-    return RatePentagon(c1, c2, c12)
+    return inner_bound_pentagons([spec])[0]
 
 
 def degrade_output(spec: DmChannelSpec, kernel: Sequence[Sequence[float]]) -> DmChannelSpec:
@@ -220,5 +272,6 @@ __all__ = [
     "validate_spec",
     "induced_joint",
     "inner_bound_pentagon",
+    "inner_bound_pentagons",
     "degrade_output",
 ]

@@ -132,19 +132,7 @@ class JointTable:
         arr = np.asarray(mass, dtype=float)
         if arr.size == 0:
             raise ValueError("joint table must be non-empty")
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise ValueError(f"non-finite mass {float(arr[idx])!r} in joint table at index {idx}")
-        if np.any(arr < -PROB_TOL):
-            raise ValueError(f"negative mass in joint table: {arr.min()!r}")
-        arr = np.clip(arr, 0.0, None)
-        total = math.fsum(arr.reshape(-1).tolist())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"joint table mass is {total!r}, not 1")
-        if total != 1.0:
-            arr = arr / total
-        self.mass = arr
+        self.mass = _checked_tables(arr[np.newaxis]).reshape(arr.shape)
         self.mass.setflags(write=False)
 
     @property
@@ -165,13 +153,80 @@ class JointTable:
         return f"JointTable(shape={self.shape})"
 
 
+def _checked_tables(stack: np.ndarray) -> np.ndarray:
+    """``JointTable``'s checks on each table of a (K, ...) stack of masses.
+
+    Every table must be finite, nonnegative within PROB_TOL and total 1
+    within PROB_TOL (an exact ``fsum``).  Returns the stack clamped at zero,
+    each table not totalling exactly 1 divided by its total.  The memory
+    layout of the stack is kept: numpy sums a marginal in memory order.
+    Raises the error the first failing table raises on its own.
+    """
+    axes = tuple(range(1, stack.ndim))
+    finite = np.isfinite(stack).all(axis=axes)
+    negative = (stack < -PROB_TOL).any(axis=axes)
+    clipped = np.clip(stack, 0.0, None)
+    for k, table in enumerate(clipped):
+        if not finite[k]:
+            bad = stack[k]
+            idx = tuple(int(i) for i in np.argwhere(~np.isfinite(bad))[0])
+            raise ValueError(f"non-finite mass {float(bad[idx])!r} in joint table at index {idx}")
+        if negative[k]:
+            raise ValueError(f"negative mass in joint table: {stack[k].min()!r}")
+        total = math.fsum(table.reshape(-1).tolist())
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValueError(f"joint table mass is {total!r}, not 1")
+        if total != 1.0:
+            clipped[k] /= total
+    return clipped
+
+
+def _entropies(stack: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each table of a (K, ...) stack: one ``fsum`` per table."""
+    terms = _plogp_array(stack.reshape(len(stack), -1))
+    return np.array([math.fsum(row) for row in terms.tolist()])
+
+
 def entropy(p) -> float:
     """Shannon entropy in bits of a Pmf, array, or nested sequence."""
     if isinstance(p, Pmf):
         arr = p.atoms
     else:
         arr = np.asarray(p, dtype=float)
-    return math.fsum(_plogp(v) for v in arr.reshape(-1).tolist())
+    return float(_entropies(arr[np.newaxis])[0])
+
+
+def _marginal_entropies(stack: np.ndarray):
+    """Entropy lookup over a (K, ...) stack of joint tables.
+
+    Returns ``entropy_of(keep)``: the (K,) entropies of each table's marginal
+    over the variables in ``keep``, memoised per variable set, so CMIs that
+    share a marginal sum it and take its logarithms once.  Each marginal is
+    summed table by table, as ``JointTable.marginal`` sums it: with a stack
+    axis added, numpy may order a multi-axis sum differently.
+    """
+    ndim = stack.ndim - 1
+    cache: dict[tuple[int, ...], np.ndarray] = {}
+
+    def entropy_of(keep: tuple[int, ...]) -> np.ndarray:
+        key = tuple(sorted(set(keep)))
+        if key not in cache:
+            drop = tuple(i for i in range(ndim) if i not in key)
+            cache[key] = _entropies(np.stack([np.add.reduce(t, axis=drop) for t in stack]))
+        return cache[key]
+
+    return entropy_of
+
+
+def _cmi(entropy_of, a: tuple[int, ...], b: tuple[int, ...], given: tuple[int, ...] = ()):
+    """I(A; B | C) = H(AC) + H(BC) - H(ABC) - H(C) in bits, from ``entropy_of``.
+
+    Works elementwise on stacked entropies; rounding residue in (-1e-9, 0)
+    is clamped to zero.
+    """
+    h_c = entropy_of(given) if given else 0.0
+    value = entropy_of(a + given) + entropy_of(b + given) - entropy_of(a + b + given) - h_c
+    return np.where((-1e-9 < value) & (value < 0.0), 0.0, value)
 
 
 def _as_index_tuple(idx) -> tuple[int, ...]:
@@ -200,14 +255,7 @@ def conditional_mutual_information(table: JointTable, a, b, given=()) -> float:
         if not 0 <= i < ndim:
             raise IndexError(f"variable index {i} out of range for {ndim} variables")
 
-    h_ac = entropy(table.marginal(a_idx + c_idx))
-    h_bc = entropy(table.marginal(b_idx + c_idx))
-    h_abc = entropy(table.marginal(all_idx))
-    h_c = entropy(table.marginal(c_idx)) if c_idx else 0.0
-    value = h_ac + h_bc - h_abc - h_c
-    if -1e-9 < value < 0.0:
-        return 0.0
-    return value
+    return float(_cmi(_marginal_entropies(table.mass[np.newaxis]), a_idx, b_idx, c_idx)[0])
 
 
 __all__ = [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from macregion.binary_mac import BinaryDpcParams, BinaryMacParams, induced_dm_spec, inner_pentagon
-from macregion import cli
+from macregion import cli, dm_eval
 from macregion.cli import (
     FIGURE_PRESETS,
     DmSpecError,
@@ -244,6 +244,18 @@ class TestDmSpecLoading:
         path.write_text(json.dumps(doc))
         assert main(["dm-eval", "--spec", str(path)]) == 2
         assert capsys.readouterr().err == "error: /u1_given_sq/0/0/1: entry nan is not finite\n"
+
+    def test_dm_eval_and_rebuild_validate_the_spec_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = dm_eval._diagnose
+        monkeypatch.setattr(dm_eval, "_diagnose", lambda spec: calls.append(spec) or real(spec))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_doc()))
+        out = tmp_path / "r.json"
+        assert main(["dm-eval", "--spec", str(path), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        rebuild_from_metadata(json.loads(out.read_text())["metadata"])
+        assert len(calls) == 2
 
     def test_cli_dm_eval_bad_spec_exits_nonzero(self, tmp_path, capsys):
         doc = spec_doc()

@@ -3,16 +3,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from macregion.binary_mac import BinaryDpcParams, BinaryMacParams, induced_dm_spec
+from macregion import dm_eval
+from macregion.binary_mac import BinaryDpcParams, BinaryMacParams, feasible_grid, induced_dm_spec
 from macregion.dm_eval import (
     DmChannelSpec,
     degrade_output,
     induced_joint,
     inner_bound_pentagon,
+    inner_bound_pentagons,
     validate_spec,
 )
-from macregion.info_measures import Pmf
+from macregion.info_measures import PROB_TOL, Pmf, conditional_mutual_information
+from macregion.region_geometry import RatePentagon
 
 
 def hb(p):
@@ -226,3 +231,213 @@ class TestValidateSpec:
         assert diags and all(d.level == "advisory" for d in diags)
         # advisories do not block evaluation
         inner_bound_pentagon(spec)
+
+
+# ---------------------------------------------------------------------------
+# The stacked table core against the per-spec route it replaced
+# ---------------------------------------------------------------------------
+
+TABLES = ("u1_given_sq", "x1_given_u1sq", "x2_given_q", "y_given_x1x2s")
+CMIS = {  # name -> (a, b, given) of the four table CMIs behind the caps
+    "leak": ((2,), (1,), (0,)),
+    "c1": ((2,), (5,), (4, 0)),
+    "c2": ((4,), (5,), (2, 0)),
+    "c12": ((2, 4), (5,), (0,)),
+}
+
+
+def per_spec_route(spec):
+    """The one-spec route the stacked core replaced, spelled out.
+
+    One einsum, ``JointTable``'s checks and renormalisation, and four CMIs
+    from H(AC) + H(BC) - H(ABC) - H(C), each entropy an ``fsum`` of
+    -p log2 p over the marginal's entries.  Returns (joint mass, CMIs, pentagon).
+    """
+    mass = np.einsum(
+        "q,s,squ,usqa,qb,absy->qsuaby",
+        spec.q_dist.atoms, spec.s_dist.atoms, spec.u1_given_sq,
+        spec.x1_given_u1sq, spec.x2_given_q, spec.y_given_x1x2s,
+        optimize=True,
+    )
+    assert np.isfinite(mass).all() and not (mass < -PROB_TOL).any()
+    mass = np.clip(mass, 0.0, None)
+    total = math.fsum(mass.reshape(-1).tolist())
+    assert abs(total - 1.0) <= PROB_TOL
+    if total != 1.0:
+        mass = mass / total
+
+    def h(keep):
+        keep = sorted(set(keep))
+        drop = tuple(i for i in range(mass.ndim) if i not in keep)
+        marginal = mass.sum(axis=drop) if drop else mass
+        return math.fsum(-p * math.log2(p) if p > 0.0 else 0.0 for p in marginal.reshape(-1).tolist())
+
+    def cmi(a, b, given):
+        value = h(a + given) + h(b + given) - h(a + b + given) - (h(given) if given else 0.0)
+        return 0.0 if -1e-9 < value < 0.0 else value
+
+    cmis = {name: cmi(*args) for name, args in CMIS.items()}
+    leak = cmis["leak"]
+    pentagon = RatePentagon(cmis["c1"] - leak, cmis["c2"], cmis["c12"] - leak)
+    return mass, cmis, pentagon
+
+
+def random_spec(rng, sizes, zero_share=0.3):
+    """A valid spec with the given alphabets; about ``zero_share`` of the
+    conditional entries are exact zeros (every row keeps one nonzero entry)."""
+    nq, ns, nu, nx1, nx2, ny = sizes
+
+    def rows(*shape):
+        table = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+        zero = rng.random(table.shape) < zero_share
+        zero[..., 0] &= ~zero[..., 1:].all(axis=-1)
+        table[zero] = 0.0
+        return table / table.sum(axis=-1, keepdims=True)
+
+    return DmChannelSpec(
+        q_dist=Pmf(rows(nq)),
+        s_dist=Pmf(rows(ns)),
+        u1_given_sq=rows(ns, nq, nu),
+        x1_given_u1sq=rows(nu, ns, nq, nx1),
+        x2_given_q=rows(nq, nx2),
+        y_given_x1x2s=rows(nx1, nx2, ns, ny),
+    )
+
+
+alphabets = st.tuples(*(st.integers(1, 3) for _ in range(6)))
+
+
+class TestStackedCore:
+    @given(alphabets, st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_core_equals_per_spec_route(self, sizes, k, seed):
+        rng = np.random.default_rng(seed)
+        specs = [random_spec(rng, sizes) for _ in range(k)]
+        routes = [per_spec_route(spec) for spec in specs]
+        assert inner_bound_pentagons(specs) == [pentagon for _, _, pentagon in routes]
+        for spec, (mass, cmis, pentagon) in zip(specs, routes):
+            assert inner_bound_pentagon(spec) == pentagon
+            t = induced_joint(spec)
+            assert np.array_equal(t.mass, mass)
+            assert {n: conditional_mutual_information(t, *args) for n, args in CMIS.items()} == cmis
+
+    def test_oracle_stack_equals_per_spec_route(self):
+        m = BinaryMacParams(0.1, 0.4, 0.2)
+        specs = [induced_dm_spec(m, d) for d in feasible_grid(m, 41)]
+        assert len(specs) == 66
+        assert inner_bound_pentagons(specs) == [per_spec_route(s)[2] for s in specs]
+
+    def test_one_invalid_spec_raises_its_own_error(self):
+        m = BinaryMacParams(0.1, 0.4, 0.2)
+        good = induced_dm_spec(m, BinaryDpcParams(0.1, 0.9))
+        broken = good.u1_given_sq.copy()
+        broken[1, 0] = [0.49, 0.49]
+        bad = replace(good, u1_given_sq=broken)
+        with pytest.raises(ValueError) as alone:
+            induced_joint(bad)
+        assert str(alone.value) == "invalid channel spec at u1_given_sq[1][0]: row sums to 0.98, not 1"
+        with pytest.raises(ValueError) as stacked:
+            inner_bound_pentagons([good, bad, good])
+        assert str(stacked.value) == str(alone.value)
+        worse = replace(good, x2_given_q=np.array([[0.7, 0.7]]))
+        with pytest.raises(ValueError) as first:
+            inner_bound_pentagons([good, worse, bad])
+        assert str(first.value) == "invalid channel spec at x2_given_q[0]: row sums to 1.4, not 1"
+
+    def test_unequal_alphabets_raise(self):
+        binary = induced_dm_spec(BinaryMacParams(0.1, 0.4, 0.2), BinaryDpcParams(0.1, 0.9))
+        with pytest.raises(ValueError, match="equal alphabets"):
+            inner_bound_pentagons([binary, stateless_mac_spec()])
+        with pytest.raises(ValueError, match="equal alphabets"):
+            inner_bound_pentagons([point_spec(), binary])
+
+    def test_empty_stack_gives_no_pentagons(self):
+        assert inner_bound_pentagons([]) == []
+
+    def test_tables_are_read_only_copies(self):
+        y = stateless_mac_spec().y_given_x1x2s.copy()
+        spec = replace(stateless_mac_spec(), y_given_x1x2s=y)
+        y[0, 0, 0] = [0.5, 0.5]  # the caller's array, not the spec's
+        assert spec.y_given_x1x2s[0, 0, 0].tolist() == [1.0, 0.0]
+        assert validate_spec(spec) == []
+        with pytest.raises(ValueError, match="read-only"):
+            spec.y_given_x1x2s[0, 0, 0, 0] = 0.5
+
+    def test_each_spec_is_diagnosed_once(self, monkeypatch):
+        calls = []
+        real = dm_eval._diagnose
+        monkeypatch.setattr(dm_eval, "_diagnose", lambda spec: calls.append(spec) or real(spec))
+        spec = stateless_mac_spec()
+        first = validate_spec(spec)
+        inner_bound_pentagon(spec)
+        induced_joint(spec)
+        assert validate_spec(spec) == first
+        assert calls == [spec]
+
+
+# ---------------------------------------------------------------------------
+# _check_rows screens rows as one array; the loop it replaced is the reference
+# ---------------------------------------------------------------------------
+
+
+def loop_check_rows(arr, name):
+    """The per-row loop ``_check_rows`` replaced."""
+    out = []
+    rows = arr.reshape(-1, arr.shape[-1])
+    for flat_i, row in enumerate(rows):
+        idx = np.unravel_index(flat_i, arr.shape[:-1]) if arr.ndim > 1 else ()
+        loc = name + "".join(f"[{i}]" for i in idx)
+        if np.any(row < -PROB_TOL):
+            out.append(dm_eval.Diagnostic("error", loc, f"negative probability {row.min()!r}"))
+        total = float(row.sum())
+        if abs(total - 1.0) > PROB_TOL:
+            out.append(dm_eval.Diagnostic("error", loc, f"row sums to {total!r}, not 1"))
+    return out
+
+
+def corrupt(rng, table, kind):
+    """``table`` with one malformation of the spec_eval benchmark's kinds.
+
+    nan / inf / -inf / negative replace one entry (negative keeps the row
+    sum at 1); shape drops or repeats a leading slice; missing zeroes one
+    entry, so its row loses that mass.
+    """
+    table = table.copy()
+    idx = tuple(int(rng.integers(n)) for n in table.shape)
+    row = table[idx[:-1]]
+    if kind == "nan":
+        row[idx[-1]] = math.nan
+    elif kind in ("inf", "-inf"):
+        row[idx[-1]] = float(kind)
+    elif kind == "negative":
+        delta = row[idx[-1]] + 0.25
+        row[idx[-1]] -= delta
+        row[(idx[-1] + 1) % len(row)] += delta
+    elif kind == "missing":
+        row[idx[-1]] = 0.0
+    else:  # shape
+        table = table[:-1] if len(table) > 1 else np.concatenate([table, table])
+    return table
+
+
+class TestCheckRows:
+    @pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "negative", "shape", "missing"])
+    def test_diagnostics_equal_the_row_loop(self, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            sizes = tuple(int(n) for n in rng.integers(1, 5, size=6))
+            spec = random_spec(rng, sizes, zero_share=0.2)
+            for name in TABLES:
+                table = getattr(spec, name)
+                for bad in (corrupt(rng, table, kind), corrupt(rng, corrupt(rng, table, kind), kind)):
+                    out = []
+                    dm_eval._check_rows(bad, name, out)
+                    assert out == loop_check_rows(bad, name)
+
+    def test_every_row_flagged_in_order(self):
+        table = np.full((2, 3, 2), -0.5)
+        out = []
+        dm_eval._check_rows(table, "x2_given_q", out)
+        assert out == loop_check_rows(table, "x2_given_q")
+        assert [d.location for d in out[:4]] == ["x2_given_q[0][0]"] * 2 + ["x2_given_q[0][1]"] * 2
+        assert len(out) == 12

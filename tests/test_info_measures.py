@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from macregion.info_measures import (
     JointTable,
     Pmf,
+    _checked_tables,
     binary_convolve,
     binary_entropy,
     conditional_mutual_information,
@@ -126,6 +127,30 @@ class TestJointTable:
             JointTable([[0.5, 0.4]])  # mass 0.9
         with pytest.raises(ValueError):
             JointTable([[0.6, 0.6], [-0.1, -0.1]])
+
+    @pytest.mark.parametrize(
+        "mass",
+        [1.0 + 4e-13, [[0.25, 0.25], [0.25, 0.25 + 4e-13]], np.full((3, 2), (1.0 + 6e-13) / 6.0).T],
+    )
+    def test_renormalises_within_slack_as_one_division(self, mass):
+        arr = np.asarray(mass, dtype=float)
+        total = math.fsum(arr.reshape(-1).tolist())
+        assert total != 1.0
+        expect = arr / total  # same values and memory layout: marginals sum in memory order
+        t = JointTable(arr)
+        assert np.array_equal(t.mass, expect) and t.mass.strides == expect.strides
+        assert not t.mass.flags.writeable
+
+    def test_stack_raises_the_first_failing_tables_error(self):
+        good = np.full((2, 2), 0.25)
+        short = np.full((2, 2), 0.2)
+        nan = good.copy()
+        nan[1, 0] = math.nan
+        with pytest.raises(ValueError) as alone:
+            JointTable(short)
+        with pytest.raises(ValueError) as stacked:
+            _checked_tables(np.stack([good, short, nan]))
+        assert str(stacked.value) == str(alone.value) == "joint table mass is 0.8, not 1"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_mass(self, bad):

@@ -4,16 +4,21 @@ The Gaussian oracle reads the GDPC caps off the joint covariance of
 (S, X1, U1, X2, Y), evaluated on the whole (rho, alpha) grid as one stack of
 5x5 matrices.  The tests here pin that stack to the one-matrix-at-a-time
 route it replaced (``np.ix_`` sub-blocks, one ``slogdet`` each) bit for bit,
-and check that the suite still fails when the closed form drifts.
+and check that the suite still fails when the closed form drifts.  The
+binary oracle's table route is one stack of induced specs; its equality with
+the per-spec route is pinned in ``test_dm_eval``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macregion import binary_mac as B
+from macregion import dm_eval
 from macregion import gaussian_mac as G
 from macregion import verification as V
 from macregion.region_geometry import RatePentagon, directed_hausdorff, pentagon_vertices
@@ -96,6 +101,46 @@ class TestSuites:
     def test_unknown_suite_is_named(self):
         with pytest.raises(ValueError, match="unknown suite 'nope'"):
             V.run_suite("nope")
+
+
+class TestBinaryOracle:
+    def test_measured_deviation_is_unchanged(self):
+        # The worst deviation of the per-spec table route over the same grid.
+        [result] = V.binary_oracle_suite()
+        assert result.measured == 6.661338147750939e-16
+        assert result.detail == "66 feasible grid points at (p1, p2, q) = (0.1, 0.4, 0.2)"
+
+    def test_table_route_is_one_stack(self, monkeypatch):
+        stacks = []
+        real = dm_eval.inner_bound_pentagons
+        monkeypatch.setattr(dm_eval, "inner_bound_pentagons", lambda specs: stacks.append(specs) or real(specs))
+        V.binary_oracle_suite()
+        assert [len(specs) for specs in stacks] == [66]
+
+    def test_fails_when_closed_form_drifts(self, monkeypatch):
+        real = B.inner_pentagon
+
+        def drifted(m, d):
+            p = real(m, d)
+            return replace(p, c2=p.c2 + 1e-8)
+
+        monkeypatch.setattr(B, "inner_pentagon", drifted)
+        [result] = V.binary_oracle_suite()
+        assert not result.passed
+        assert result.measured == pytest.approx(1e-8, rel=1e-6)
+        assert result.line().startswith("[FAIL] binary-oracle")
+
+
+class TestAsymptoticLimit:
+    def test_deviation_shrinks_as_inverse_square_root_of_q(self, monkeypatch):
+        # The rho * sqrt(P1 Q) cross term makes the finite-Q caps approach
+        # their limit as O(Q^-1/2): each 100x step in Q gains about 10x.
+        measured = []
+        for q in (1e6, 1e8, 1e10):
+            monkeypatch.setattr(V, "LIMIT_Q", q)
+            measured.append(V.asymptotic_limit_suite()[0].measured)
+        for coarse, fine in zip(measured, measured[1:]):
+            assert 8.0 <= coarse / fine <= 12.0, measured
 
 
 class TestGaussianOracle:
