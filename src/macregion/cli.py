@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import binary_mac, gaussian_mac
 from .dm_eval import Diagnostic, DmChannelSpec, inner_bound_pentagon, validate_spec
 from .info_measures import Pmf
 from .region_geometry import RegionPolygon, max_r2_at, pentagon_vertices
-from .verification import run_suite
+from .verification import SUITES, run_suite
 
 LN2 = math.log(2.0)
 
@@ -178,76 +179,158 @@ def load_dm_spec(path: str | Path) -> DmChannelSpec:
 
 
 # ---------------------------------------------------------------------------
+# The export commands: each one's help, flags and polygon, spelled once.
+# ---------------------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    """One export command of the CLI.
+
+    ``flags`` are ``(option, argparse kwargs)`` pairs; a flag's argparse dest is
+    its metadata key, under ``grid`` if it is in ``GRID_KEYS`` and under
+    ``parameters`` otherwise.  ``polygon`` maps (parameters, grid) to the
+    region; it is None for ``r2max-curve`` (a curve) and ``dm-eval`` (its
+    export also carries the caps).
+    """
+
+    help: str
+    flags: tuple[tuple[str, dict], ...]
+    polygon: Callable[[dict, dict], RegionPolygon] | None = None
+
+
+GRID_KEYS = frozenset({"grid_steps", "rho_steps", "alpha_steps", "dpc_only", "explore_positive_rho"})
+
+
+def _required(help_text: str) -> dict:
+    return {"type": float, "required": True, "help": help_text}
+
+
+def _sweep(rho_steps: int, alpha_steps: int) -> tuple[tuple[str, dict], ...]:
+    return (("--rho-steps", {"type": int, "default": rho_steps}),
+            ("--alpha-steps", {"type": int, "default": alpha_steps}))
+
+
+_WEIGHTS = (("--p1", _required("weight constraint of the informed encoder")),
+            ("--p2", _required("weight constraint of the uninformed encoder")))
+_BIAS = ("--q", _required("state bias in [0, 0.5]"))
+_POWERS = (("--P1", _required("informed-encoder power")), ("--P2", _required("uninformed-encoder power")))
+_NOISE = ("--N", _required("noise variance"))
+
+
+def _binary(p: dict) -> binary_mac.BinaryMacParams:
+    return binary_mac.BinaryMacParams(p["p1"], p["p2"], p["q"])
+
+
+def _gaussian(p: dict, q: float) -> gaussian_mac.GaussianMacParams:
+    return gaussian_mac.GaussianMacParams(p["P1"], p["P2"], q, p["N"])
+
+
+def _gaussian_region(p: dict, grid: dict) -> RegionPolygon:
+    m = _gaussian(p, p["Q"])
+    if grid.get("dpc_only"):
+        return gaussian_mac.dpc_only_region(m, alpha_steps=grid["alpha_steps"])
+    return gaussian_mac.inner_region(
+        m, rho_steps=grid["rho_steps"], alpha_steps=grid["alpha_steps"],
+        explore_positive_rho=bool(grid.get("explore_positive_rho", False)),
+    )
+
+
+COMMANDS: dict[str, Command] = {
+    "binary-region": Command(
+        "swept binary inner bound polygon",
+        (*_WEIGHTS, _BIAS, ("--grid", {"type": int, "default": 41, "dest": "grid_steps",
+                                       "metavar": "GRID", "help": "grid steps per coding axis"})),
+        lambda p, g: binary_mac.inner_region(_binary(p), grid_steps=g["grid_steps"]),
+    ),
+    "binary-outer": Command(
+        "binary informed-decoder outer bound", (*_WEIGHTS, _BIAS),
+        lambda p, g: pentagon_vertices(binary_mac.outer_region(_binary(p))),
+    ),
+    "binary-capacity": Command(
+        "exact binary capacity region at q = 0.5",
+        (*_WEIGHTS, ("--q", {"type": float, "default": 0.5, "help": "state bias (must stay 0.5)"})),
+        lambda p, g: pentagon_vertices(binary_mac.capacity_max_entropy_state(_binary(p))),
+    ),
+    "binary-dpc": Command(
+        "plain binary DPC pentagon", (*_WEIGHTS, _BIAS),
+        lambda p, g: pentagon_vertices(binary_mac.standard_dpc_pentagon(_binary(p))),
+    ),
+    "gaussian-region": Command(
+        "swept Gaussian GDPC inner bound",
+        (*_POWERS, ("--Q", _required("state variance")), _NOISE, *_sweep(21, 81),
+         ("--dpc-only", {"action": "store_true", "help": "sweep rho = 0 only"}),
+         ("--explore-positive-rho", {"action": "store_true", "help": "expert: extend the sweep "
+                                     "to positive correlation (report separately)"})),
+        _gaussian_region,
+    ),
+    "gaussian-outer": Command(
+        "state-free Gaussian MAC outer bound",
+        (*_POWERS, _NOISE, ("--Q", {"type": float, "default": 0.0,
+                                    "help": "state variance (unused by the bound)"})),
+        lambda p, g: pentagon_vertices(gaussian_mac.outer_region(_gaussian(p, p.get("Q", 0.0)))),
+    ),
+    "asymptotic-region": Command(
+        "large-state-variance inner bound", (*_POWERS, _NOISE, *_sweep(21, 81)),
+        lambda p, g: gaussian_mac.asymptotic_inner_region(
+            _gaussian(p, 0.0), rho_steps=g["rho_steps"], alpha_steps=g["alpha_steps"]),
+    ),
+    "asymptotic-outer": Command(
+        "large-state-variance outer bound", (*_POWERS, _NOISE),
+        lambda p, g: pentagon_vertices(gaussian_mac.asymptotic_outer_region(_gaussian(p, 0.0))),
+    ),
+    "r2max-curve": Command(
+        "max uninformed rate at R1 = 0 versus Q",
+        (*_POWERS, _NOISE,
+         ("--q-values", {"default": "1,5,20,100,500", "help": "comma-separated state variances"}),
+         *_sweep(41, 161)),
+    ),
+    "dm-eval": Command(
+        "evaluate a channel-spec JSON file",
+        (("--spec", {"required": True, "metavar": "PATH", "help": "channel spec JSON"}),),
+    ),
+}
+
+# Added to every export command after its own flags.
+_EXPORT_FLAGS = (
+    ("--out", {"action": "append", "default": [], "metavar": "PATH", "help": "write the export "
+               "to PATH (.csv or .json; repeatable); default prints JSON"}),
+    ("--nats", {"action": "store_true", "help": "report rates in nats instead of bits"}),
+    ("--sample-step", {"type": float, "default": None, "metavar": "STEP",
+                       "help": "also emit dense boundary samples every STEP along R1"}),
+)
+
+
+def _dest(option: str, kwargs: dict) -> str:
+    """The argparse dest of a flag, which is also its metadata key."""
+    return kwargs.get("dest", option.lstrip("-").replace("-", "_"))
+
+
+# ---------------------------------------------------------------------------
 # Export builders, keyed by command name so metadata blocks can be re-run.
 # ---------------------------------------------------------------------------
 
 
-def _polygon_for(command: str, parameters: dict, grid: dict) -> RegionPolygon:
-    if command == "binary-region":
-        m = binary_mac.BinaryMacParams(parameters["p1"], parameters["p2"], parameters["q"])
-        return binary_mac.inner_region(m, grid_steps=grid["grid_steps"])
-    if command == "binary-outer":
-        m = binary_mac.BinaryMacParams(parameters["p1"], parameters["p2"], parameters["q"])
-        return pentagon_vertices(binary_mac.outer_region(m))
-    if command == "binary-capacity":
-        m = binary_mac.BinaryMacParams(parameters["p1"], parameters["p2"], parameters["q"])
-        return pentagon_vertices(binary_mac.capacity_max_entropy_state(m))
-    if command == "binary-dpc":
-        m = binary_mac.BinaryMacParams(parameters["p1"], parameters["p2"], parameters["q"])
-        return pentagon_vertices(binary_mac.standard_dpc_pentagon(m))
-    if command == "gaussian-region":
-        m = gaussian_mac.GaussianMacParams(
-            parameters["P1"], parameters["P2"], parameters["Q"], parameters["N"]
-        )
-        if grid.get("dpc_only"):
-            return gaussian_mac.dpc_only_region(m, alpha_steps=grid["alpha_steps"])
-        return gaussian_mac.inner_region(
-            m,
-            rho_steps=grid["rho_steps"],
-            alpha_steps=grid["alpha_steps"],
-            explore_positive_rho=bool(grid.get("explore_positive_rho", False)),
-        )
-    if command == "gaussian-outer":
-        m = gaussian_mac.GaussianMacParams(
-            parameters["P1"], parameters["P2"], parameters.get("Q", 0.0), parameters["N"]
-        )
-        return pentagon_vertices(gaussian_mac.outer_region(m))
-    if command == "asymptotic-region":
-        m = gaussian_mac.GaussianMacParams(
-            parameters["P1"], parameters["P2"], 0.0, parameters["N"]
-        )
-        return gaussian_mac.asymptotic_inner_region(
-            m, rho_steps=grid["rho_steps"], alpha_steps=grid["alpha_steps"]
-        )
-    if command == "asymptotic-outer":
-        m = gaussian_mac.GaussianMacParams(
-            parameters["P1"], parameters["P2"], 0.0, parameters["N"]
-        )
-        return pentagon_vertices(gaussian_mac.asymptotic_outer_region(m))
-    raise ValueError(f"unknown region command {command!r}")
+def _metadata(command: str, parameters: dict, grid: dict, nats: bool) -> dict:
+    return {"command": command, "parameters": parameters, "units": "nats" if nats else "bits",
+            "grid": grid}
 
 
-def build_region_export(
-    command: str,
-    parameters: dict,
-    grid: dict,
-    nats: bool = False,
-    sample_step: float | None = None,
-) -> RegionExport:
+def build_region_export(command: str, parameters: dict, grid: dict, nats: bool = False,
+                        sample_step: float | None = None) -> RegionExport:
     if command == "dm-eval":
         return _dm_eval_export(dm_spec_from_dict(parameters["spec"]), parameters, nats, sample_step)
-    polygon = _polygon_for(command, parameters, grid)
+    entry = COMMANDS.get(command)
+    if entry is None or entry.polygon is None:
+        raise ValueError(f"unknown region command {command!r}")
+    polygon = entry.polygon(parameters, grid)
     return _region_export(command, parameters, grid, polygon, nats, sample_step)
 
 
-def _dm_eval_export(
-    spec: DmChannelSpec, parameters: dict, nats: bool, sample_step: float | None
-) -> RegionExport:
+def _dm_eval_export(spec: DmChannelSpec, parameters: dict, nats: bool,
+                    sample_step: float | None) -> RegionExport:
     """The spec's pentagon, with its caps in the metadata."""
     pentagon = inner_bound_pentagon(spec)
-    export = _region_export(
-        "dm-eval", parameters, {}, pentagon_vertices(pentagon), nats, sample_step
-    )
+    export = _region_export("dm-eval", parameters, {}, pentagon_vertices(pentagon), nats, sample_step)
     scale = LN2 if nats else 1.0
     export.metadata["caps"] = {
         cap: _round12(getattr(pentagon, cap) * scale) for cap in ("c1", "c2", "c12")
@@ -255,17 +338,12 @@ def _dm_eval_export(
     return export
 
 
-def _region_export(
-    command: str,
-    parameters: dict,
-    grid: dict,
-    polygon: RegionPolygon,
-    nats: bool,
-    sample_step: float | None,
-) -> RegionExport:
+def _region_export(command: str, parameters: dict, grid: dict, polygon: RegionPolygon,
+                   nats: bool, sample_step: float | None) -> RegionExport:
     scale = LN2 if nats else 1.0
     vertices = [(x * scale, y * scale) for x, y in polygon.vertices]
     samples = None
+    grid_meta = dict(grid)
     if sample_step is not None:
         if not math.isfinite(sample_step):
             raise ValueError(f"sample step must be finite, got {sample_step!r}")
@@ -274,49 +352,35 @@ def _region_export(
         r1s = list(np.arange(0.0, polygon.max_r1, sample_step))
         r1s.append(polygon.max_r1)
         samples = [(r1 * scale, max_r2_at(polygon, r1) * scale) for r1 in r1s]
-    grid_meta = dict(grid)
-    if sample_step is not None:
         grid_meta["sample_step"] = sample_step
-    metadata = {
-        "command": command,
-        "parameters": parameters,
-        "units": "nats" if nats else "bits",
-        "grid": grid_meta,
-    }
+    metadata = _metadata(command, parameters, grid_meta, nats)
     return RegionExport(metadata=metadata, vertices=vertices, boundary_samples=samples)
 
 
 def build_curve_export(parameters: dict, grid: dict, nats: bool = False) -> CurveExport:
-    m = gaussian_mac.GaussianMacParams(
-        parameters["P1"], parameters["P2"], 1.0, parameters["N"]
-    )
+    m = _gaussian(parameters, 1.0)
     curve = gaussian_mac.r2_max_curve(
-        m,
-        parameters["q_values"],
-        rho_steps=grid["rho_steps"],
-        alpha_steps=grid["alpha_steps"],
+        m, parameters["q_values"], rho_steps=grid["rho_steps"], alpha_steps=grid["alpha_steps"]
     )
     scale = LN2 if nats else 1.0
-    metadata = {
-        "command": "r2max-curve",
-        "parameters": parameters,
-        "units": "nats" if nats else "bits",
-        "grid": dict(grid),
-    }
+    metadata = _metadata("r2max-curve", parameters, dict(grid), nats)
     return CurveExport(metadata=metadata, points=[(q, r * scale) for q, r in curve])
+
+
+def _build_export(command: str, parameters: dict, grid: dict, nats: bool = False,
+                  sample_step: float | None = None) -> RegionExport | CurveExport:
+    """Any export command's export from its metadata parts."""
+    if command == "r2max-curve":
+        return build_curve_export(parameters, grid, nats=nats)
+    return build_region_export(command, parameters, grid, nats=nats, sample_step=sample_step)
 
 
 def rebuild_from_metadata(metadata: dict) -> RegionExport | CurveExport:
     """Recompute an export purely from its own metadata block."""
-    command = metadata["command"]
-    nats = metadata.get("units") == "nats"
     grid = dict(metadata.get("grid", {}))
     sample_step = grid.pop("sample_step", None)
-    if command == "r2max-curve":
-        return build_curve_export(metadata["parameters"], grid, nats=nats)
-    return build_region_export(
-        command, metadata["parameters"], grid, nats=nats, sample_step=sample_step
-    )
+    nats = metadata.get("units") == "nats"
+    return _build_export(metadata["command"], metadata["parameters"], grid, nats, sample_step)
 
 
 # ---------------------------------------------------------------------------
@@ -398,109 +462,17 @@ def _write_export(export: RegionExport | CurveExport, out_paths: list[str]) -> N
         print(f"wrote {path}", file=sys.stderr)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--out",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="write the export to PATH (.csv or .json; repeatable); default prints JSON",
-    )
-    parser.add_argument(
-        "--nats", action="store_true", help="report rates in nats instead of bits"
-    )
-    parser.add_argument(
-        "--sample-step",
-        type=float,
-        default=None,
-        metavar="STEP",
-        help="also emit dense boundary samples every STEP along R1",
-    )
-
-
-def _add_binary_params(parser: argparse.ArgumentParser, default_q: float | None) -> None:
-    parser.add_argument("--p1", type=float, required=True, help="weight constraint of the informed encoder")
-    parser.add_argument("--p2", type=float, required=True, help="weight constraint of the uninformed encoder")
-    if default_q is None:
-        parser.add_argument("--q", type=float, required=True, help="state bias in [0, 0.5]")
-    else:
-        parser.add_argument("--q", type=float, default=default_q, help="state bias (must stay 0.5)")
-
-
-def _add_gaussian_params(parser: argparse.ArgumentParser, with_q: bool) -> None:
-    parser.add_argument("--P1", type=float, required=True, help="informed-encoder power")
-    parser.add_argument("--P2", type=float, required=True, help="uninformed-encoder power")
-    if with_q:
-        parser.add_argument("--Q", type=float, required=True, help="state variance")
-    parser.add_argument("--N", type=float, required=True, help="noise variance")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser: one subcommand per ``COMMANDS`` entry, plus ``figure`` and ``verify``."""
     parser = argparse.ArgumentParser(
         prog="macregion",
         description="Capacity-region bounds for two-encoder MACs with one state-informed encoder.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("binary-region", help="swept binary inner bound polygon")
-    _add_binary_params(p, default_q=None)
-    p.add_argument("--grid", type=int, default=41, help="grid steps per coding axis")
-    _add_common(p)
-
-    p = sub.add_parser("binary-outer", help="binary informed-decoder outer bound")
-    _add_binary_params(p, default_q=None)
-    _add_common(p)
-
-    p = sub.add_parser("binary-capacity", help="exact binary capacity region at q = 0.5")
-    _add_binary_params(p, default_q=0.5)
-    _add_common(p)
-
-    p = sub.add_parser("binary-dpc", help="plain binary DPC pentagon")
-    _add_binary_params(p, default_q=None)
-    _add_common(p)
-
-    p = sub.add_parser("gaussian-region", help="swept Gaussian GDPC inner bound")
-    _add_gaussian_params(p, with_q=True)
-    p.add_argument("--rho-steps", type=int, default=21)
-    p.add_argument("--alpha-steps", type=int, default=81)
-    p.add_argument("--dpc-only", action="store_true", help="sweep rho = 0 only")
-    p.add_argument(
-        "--explore-positive-rho",
-        action="store_true",
-        help="expert: extend the sweep to positive correlation (report separately)",
-    )
-    _add_common(p)
-
-    p = sub.add_parser("gaussian-outer", help="state-free Gaussian MAC outer bound")
-    _add_gaussian_params(p, with_q=False)
-    p.add_argument("--Q", type=float, default=0.0, help="state variance (unused by the bound)")
-    _add_common(p)
-
-    p = sub.add_parser("asymptotic-region", help="large-state-variance inner bound")
-    _add_gaussian_params(p, with_q=False)
-    p.add_argument("--rho-steps", type=int, default=21)
-    p.add_argument("--alpha-steps", type=int, default=81)
-    _add_common(p)
-
-    p = sub.add_parser("asymptotic-outer", help="large-state-variance outer bound")
-    _add_gaussian_params(p, with_q=False)
-    _add_common(p)
-
-    p = sub.add_parser("r2max-curve", help="max uninformed rate at R1 = 0 versus Q")
-    _add_gaussian_params(p, with_q=False)
-    p.add_argument(
-        "--q-values",
-        type=str,
-        default="1,5,20,100,500",
-        help="comma-separated state variances",
-    )
-    p.add_argument("--rho-steps", type=int, default=41)
-    p.add_argument("--alpha-steps", type=int, default=161)
-    _add_common(p)
-
-    p = sub.add_parser("dm-eval", help="evaluate a channel-spec JSON file")
-    p.add_argument("--spec", required=True, metavar="PATH", help="channel spec JSON")
-    _add_common(p)
+    for name, entry in COMMANDS.items():
+        p = sub.add_parser(name, help=entry.help)
+        for option, kwargs in (*entry.flags, *_EXPORT_FLAGS):
+            p.add_argument(option, **kwargs)
 
     p = sub.add_parser("figure", help="export the polygons behind a reference figure")
     p.add_argument("name", choices=sorted(FIGURE_PRESETS))
@@ -509,11 +481,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nats", action="store_true")
 
     p = sub.add_parser("verify", help="run a cross-check suite")
-    p.add_argument(
-        "suite",
-        choices=("binary-oracle", "gaussian-oracle", "asymptotic-limit", "containment", "all"),
-    )
+    p.add_argument("suite", choices=(*SUITES, "all"))
     return parser
+
+
+def _metadata_parts(args: argparse.Namespace) -> tuple[dict, dict]:
+    """The (parameters, grid) an export command's flags record."""
+    parameters: dict = {}
+    grid: dict = {}
+    for option, kwargs in COMMANDS[args.command].flags:
+        key = _dest(option, kwargs)
+        value = getattr(args, key)
+        if kwargs.get("action") == "store_true" and not value:
+            continue
+        if key == "q_values":
+            value = [float(v) for v in value.split(",") if v.strip()]
+        (grid if key in GRID_KEYS else parameters)[key] = value
+    return parameters, grid
 
 
 def _run_command(args: argparse.Namespace) -> int:
@@ -529,10 +513,7 @@ def _run_command(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         written = []
         for part, command, parameters, grid in FIGURE_PRESETS[args.name]:
-            if command == "r2max-curve":
-                export = build_curve_export(parameters, grid, nats=args.nats)
-            else:
-                export = build_region_export(command, parameters, grid, nats=args.nats)
+            export = _build_export(command, parameters, grid, nats=args.nats)
             stem = out_dir / f"{args.name}_{part}"
             if args.format in ("csv", "both"):
                 Path(f"{stem}.csv").write_text(export.csv_text())
@@ -544,56 +525,28 @@ def _run_command(args: argparse.Namespace) -> int:
             print(path)
         return 0
 
-    if cmd == "r2max-curve":
-        q_values = [float(v) for v in args.q_values.split(",") if v.strip()]
-        parameters = {"P1": args.P1, "P2": args.P2, "N": args.N, "q_values": q_values}
-        grid = {"rho_steps": args.rho_steps, "alpha_steps": args.alpha_steps}
-        export = build_curve_export(parameters, grid, nats=args.nats)
-        _write_export(export, args.out)
-        return 0
-
     if cmd == "dm-eval":
         doc = _read_spec_doc(args.spec)
         spec, advisories = _checked_spec(doc)
         for diag in advisories:
             print(f"advisory: {diag.location}: {diag.message}", file=sys.stderr)
         export = _dm_eval_export(spec, {"spec": doc}, args.nats, args.sample_step)
-        _write_export(export, args.out)
-        return 0
-
-    if cmd.startswith("binary-"):
-        parameters = {"p1": args.p1, "p2": args.p2, "q": args.q}
-        grid = {"grid_steps": args.grid} if cmd == "binary-region" else {}
-    elif cmd == "gaussian-region":
-        parameters = {"P1": args.P1, "P2": args.P2, "Q": args.Q, "N": args.N}
-        grid = {"rho_steps": args.rho_steps, "alpha_steps": args.alpha_steps}
-        if args.dpc_only:
-            grid["dpc_only"] = True
-        if args.explore_positive_rho:
-            grid["explore_positive_rho"] = True
-    elif cmd == "gaussian-outer":
-        parameters = {"P1": args.P1, "P2": args.P2, "Q": args.Q, "N": args.N}
-        grid = {}
-    elif cmd in ("asymptotic-region", "asymptotic-outer"):
-        parameters = {"P1": args.P1, "P2": args.P2, "N": args.N}
-        grid = (
-            {"rho_steps": args.rho_steps, "alpha_steps": args.alpha_steps}
-            if cmd == "asymptotic-region"
-            else {}
-        )
     else:
-        raise ValueError(f"unhandled command {cmd!r}")
-
-    export = build_region_export(
-        cmd, parameters, grid, nats=args.nats, sample_step=args.sample_step
-    )
+        parameters, grid = _metadata_parts(args)
+        export = _build_export(cmd, parameters, grid, args.nats, args.sample_step)
     _write_export(export, args.out)
     return 0
 
 
+# Built by the first ``main`` call and reused by every later one in the process.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _run_command(args)
     except (ValueError, OSError) as exc:

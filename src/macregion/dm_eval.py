@@ -103,15 +103,23 @@ class Diagnostic:
 def _check_rows(arr: np.ndarray, name: str, out: list[Diagnostic]) -> None:
     """Flag conditional rows that are not valid pmfs.
 
-    The rows are screened as one array; only flagged rows build a message.
+    The rows are screened as one array; only flagged rows build a message.  A
+    row holding a NaN or infinite entry gets that one error and no other.
     """
     rows = arr.reshape(-1, arr.shape[-1])
+    finite = np.isfinite(rows)
+    non_finite = ~np.logical_and.reduce(finite, axis=1)
     negative = np.logical_or.reduce(rows < -PROB_TOL, axis=1)
-    off_total = abs(np.add.reduce(rows, axis=1) - 1.0) > PROB_TOL
-    for flat_i in (negative | off_total).nonzero()[0].tolist():
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row's sum
+        off_total = abs(np.add.reduce(rows, axis=1) - 1.0) > PROB_TOL
+    for flat_i in (non_finite | negative | off_total).nonzero()[0].tolist():
         row = rows[flat_i]
         idx = np.unravel_index(flat_i, arr.shape[:-1]) if arr.ndim > 1 else ()
         loc = name + "".join(f"[{i}]" for i in idx)
+        if non_finite[flat_i]:
+            j = int(np.argmin(finite[flat_i]))
+            out.append(Diagnostic("error", loc, f"entry {j} is {float(row[j])!r}, not finite"))
+            continue
         if negative[flat_i]:
             out.append(Diagnostic("error", loc, f"negative probability {row.min()!r}"))
         if off_total[flat_i]:

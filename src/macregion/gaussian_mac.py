@@ -222,50 +222,35 @@ def rates_from_covariance(m: GaussianMacParams, g: GdpcParams) -> RateTriple:
     return RateTriple(*(float(r) for r in _covariance_caps(m, g.rho, g.alpha)))
 
 
-def feasible_alpha_interval(
-    m: GaussianMacParams,
-    rho: float,
-    scan: tuple[float, float] = (-2.0, 3.0),
-    scan_points: int = 1201,
-    resolution: float = 1e-9,
-) -> list[tuple[float, float]]:
-    """Maximal alpha sub-intervals where all three caps are nonnegative.
+def feasible_alpha_interval(m: GaussianMacParams, rho: float) -> list[tuple[float, float]]:
+    """The alpha interval where all three caps are nonnegative, as a list of at most one.
 
-    Located numerically: the sign of min(r1, r2, r3) is sampled over the scan
-    window and each change is bisected down to ``resolution``.  r2 is never
-    negative, so interval endpoints are roots of r1 (or r3).  May be empty;
-    intervals are clipped to the scan window.
+    r2 is never negative and r1 >= 0 implies r3 >= 0, so the set is where
+    r1 >= 0, i.e. where the quadratic
+
+        Q (c+N) alpha^2 + 2 (N rho sqrt(P1 Q) - c Q) alpha + N P1 rho^2 - c (P1 + 2 rho sqrt(P1 Q))
+
+    is at most 0, with c = P1 (1 - rho^2); its roots are taken in the
+    cancellation-free form q / a and c0 / q.  Empty where the quadratic has
+    no real root.  At Q = 0 the caps do not depend on alpha: the interval is
+    (-inf, inf) if they are nonnegative, else empty.
     """
     _check_rho(rho)
-
-    def worst(alpha: float) -> float:
-        return min(gdpc_rates(m, GdpcParams(rho, alpha)))
-
-    def bisect(lo: float, hi: float) -> float:
-        flo = worst(lo)
-        for _ in range(200):
-            if hi - lo <= resolution:
-                break
-            mid = 0.5 * (lo + hi)
-            if (worst(mid) >= 0.0) == (flo >= 0.0):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    xs = np.linspace(scan[0], scan[1], scan_points)
-    fs = [worst(float(x)) for x in xs]
-    intervals: list[tuple[float, float]] = []
-    start: float | None = xs[0] if fs[0] >= 0.0 else None
-    for i in range(len(xs) - 1):
-        if fs[i] < 0.0 <= fs[i + 1]:
-            start = bisect(float(xs[i]), float(xs[i + 1]))
-        elif fs[i] >= 0.0 > fs[i + 1]:
-            intervals.append((start, bisect(float(xs[i]), float(xs[i + 1]))))
-            start = None
-    if start is not None:
-        intervals.append((start, float(xs[-1])))
-    return intervals
+    c = m.P1 * (1.0 - rho * rho)
+    cross = rho * math.sqrt(m.P1 * m.Q)
+    a = m.Q * (c + m.N)
+    b = m.N * cross - c * m.Q
+    c0 = m.N * m.P1 * rho * rho - c * (m.P1 + 2.0 * cross)
+    if a == 0.0:
+        return [(-math.inf, math.inf)] if c0 <= 0.0 else []
+    disc = b * b - a * c0
+    if disc < 0.0:
+        return []
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    if q == 0.0:  # b = disc = 0, so c0 = 0 too: the double root 0
+        return [(0.0, 0.0)]
+    lo, hi = sorted((q / a, c0 / q))
+    return [(float(lo), float(hi))]
 
 
 def _rho_grid(rho_steps: int, explore_positive_rho: bool) -> list[float]:

@@ -310,6 +310,85 @@ class TestVerifySubcommand:
             main(["verify", "nonsense"])
 
 
+def preset_argv(command, parameters, grid):
+    """The argv that records ``parameters`` and ``grid``, spelled through the table's flags."""
+    argv = [command]
+    for option, kwargs in cli.COMMANDS[command].flags:
+        value = {**parameters, **grid}.get(cli._dest(option, kwargs))
+        if kwargs.get("action") == "store_true":
+            argv += [option] if value else []
+        elif isinstance(value, list):
+            argv += [option, ",".join(map(repr, value))]
+        elif value is not None:
+            argv += [option, repr(value)]
+    return argv
+
+
+class TestCommandTable:
+    def test_one_entry_per_export_command(self):
+        assert list(cli.COMMANDS) == [
+            "binary-region", "binary-outer", "binary-capacity", "binary-dpc",
+            "gaussian-region", "gaussian-outer", "asymptotic-region", "asymptotic-outer",
+            "r2max-curve", "dm-eval",
+        ]
+        assert [c.polygon is None for c in cli.COMMANDS.values()] == [False] * 8 + [True] * 2
+
+    @pytest.mark.parametrize("nats", [False, True])
+    def test_presets_rerun_through_the_flags(self, tmp_path, nats):
+        for name, parts in FIGURE_PRESETS.items():
+            assert main(["figure", name, "--out-dir", str(tmp_path), "--format", "json"]
+                        + (["--nats"] if nats else [])) == 0
+            for part, command, parameters, grid in parts:
+                assert command in cli.COMMANDS
+                out = tmp_path / f"argv_{name}_{part}.json"
+                argv = preset_argv(command, parameters, grid) + ["--out", str(out)]
+                assert main(argv + (["--nats"] if nats else [])) == 0
+                assert out.read_bytes() == (tmp_path / f"{name}_{part}.json").read_bytes()
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        calls = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+        monkeypatch.setattr(cli, "_parser", None)
+        for _ in range(3):
+            assert main(["asymptotic-outer", "--P1", "120", "--P2", "50", "--N", "60"]) == 0
+        assert calls == [1]
+        assert real() is not real()
+
+    def test_out_paths_do_not_leak_into_the_next_call(self, tmp_path, capsys):
+        args = ["binary-dpc", "--p1", "0.1", "--p2", "0.4", "--q", "0.2"]
+        assert main(args + ["--out", str(tmp_path / "a.json"), "--out", str(tmp_path / "a.csv")]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["metadata"]["command"] == "binary-dpc"
+        assert captured.err == ""
+        assert main(args + ["--out", str(tmp_path / "b.json")]) == 0
+        assert capsys.readouterr().err == f"wrote {tmp_path / 'b.json'}\n"
+
+    def test_a_rejected_call_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["binary-region", "--p1", "0.1", "--p2", "0.4"])
+        with pytest.raises(SystemExit):
+            main(["gaussian-region", "--P1", "abc"])
+        capsys.readouterr()
+        assert main(["binary-region", "--p1", "0.1", "--p2", "0.4", "--q", "0.2", "--grid", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["metadata"]["grid"] == {"grid_steps": 5}
+
+    def test_flags_do_not_stick_to_later_calls(self, capsys):
+        gauss = ["gaussian-region", "--P1", "15", "--P2", "50", "--Q", "20", "--N", "60",
+                 "--rho-steps", "3", "--alpha-steps", "5"]
+        assert main(gauss + ["--nats", "--dpc-only", "--sample-step", "0.5"]) == 0
+        first = json.loads(capsys.readouterr().out)["metadata"]
+        assert first["units"] == "nats"
+        assert first["grid"] == {"rho_steps": 3, "alpha_steps": 5, "dpc_only": True, "sample_step": 0.5}
+        assert main(gauss) == 0
+        again = json.loads(capsys.readouterr().out)["metadata"]
+        assert again["units"] == "bits"
+        assert again["grid"] == {"rho_steps": 3, "alpha_steps": 5}
+
+
 class TestDeterminism:
     def test_repeat_runs_and_rebuild_are_byte_identical(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -381,12 +381,17 @@ class TestStackedCore:
 
 
 def loop_check_rows(arr, name):
-    """The per-row loop ``_check_rows`` replaced."""
+    """The per-row loop ``_check_rows`` replaced, with its non-finite rule added."""
     out = []
     rows = arr.reshape(-1, arr.shape[-1])
     for flat_i, row in enumerate(rows):
         idx = np.unravel_index(flat_i, arr.shape[:-1]) if arr.ndim > 1 else ()
         loc = name + "".join(f"[{i}]" for i in idx)
+        bad = [j for j, v in enumerate(row.tolist()) if not math.isfinite(v)]
+        if bad:
+            message = f"entry {bad[0]} is {float(row[bad[0]])!r}, not finite"
+            out.append(dm_eval.Diagnostic("error", loc, message))
+            continue
         if np.any(row < -PROB_TOL):
             out.append(dm_eval.Diagnostic("error", loc, f"negative probability {row.min()!r}"))
         total = float(row.sum())
@@ -441,3 +446,32 @@ class TestCheckRows:
         assert out == loop_check_rows(table, "x2_given_q")
         assert [d.location for d in out[:4]] == ["x2_given_q[0][0]"] * 2 + ["x2_given_q[0][1]"] * 2
         assert len(out) == 12
+
+    def test_mixed_infinities_in_one_row_raise_no_warning(self):
+        table = np.array([[0.5, 0.5], [math.inf, -math.inf]])
+        out = []
+        dm_eval._check_rows(table, "x2_given_q", out)  # RuntimeWarnings fail the tests
+        assert out == [dm_eval.Diagnostic("error", "x2_given_q[1]", "entry 0 is inf, not finite")]
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_named_by_validate_spec_and_inner_bound_pentagon(self, bad):
+        spec = induced_dm_spec(BinaryMacParams(0.1, 0.4, 0.2), BinaryDpcParams(0.1, 0.9))
+        table = spec.u1_given_sq.copy()
+        table[0, 0, 1] = bad
+        broken = replace(spec, u1_given_sq=table)
+        message = f"entry 1 is {bad!r}, not finite"
+        assert validate_spec(broken) == [dm_eval.Diagnostic("error", "u1_given_sq[0][0]", message)]
+        with pytest.raises(ValueError) as err:
+            inner_bound_pentagon(broken)
+        assert str(err.value) == f"invalid channel spec at u1_given_sq[0][0]: {message}"
+
+    def test_every_table_and_row_is_screened(self):
+        spec = stateless_mac_spec()
+        for name in TABLES:
+            table = getattr(spec, name).copy()
+            table.reshape(-1, table.shape[-1])[-1, -1] = math.nan
+            errors = validate_spec(replace(spec, **{name: table}))
+            last_row = name + "".join(f"[{n - 1}]" for n in table.shape[:-1])
+            assert [(d.level, d.location) for d in errors] == [("error", last_row)]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macregion.gaussian_mac import (
     GaussianMacParams,
@@ -140,6 +142,105 @@ class TestFeasibleAlphaInterval:
         pinch = 0.995 * math.sqrt(FIG4.P1 / FIG4.Q)
         assert lo < pinch < hi
         assert hi - lo < 0.05
+
+    def test_interval_beyond_the_old_scan_window(self):
+        # the 1201-point scan over [-2, 3] clipped this one to [(-2.0, 3.0)]
+        (lo, hi), = feasible_alpha_interval(GaussianMacParams(120.0, 50.0, 1.0, 60.0), 0.0)
+        roots = sorted(np.roots([180.0, -240.0, -14400.0]).real)
+        assert (lo, hi) == pytest.approx(roots, abs=1e-12)
+        assert (round(lo, 3), round(hi, 3)) == (-8.302, 9.636)
+
+    def test_sliver_the_old_scan_missed(self):
+        # 1201 samples over [-2, 3] fell on either side of this 0.041-wide interval
+        (lo, hi), = feasible_alpha_interval(GaussianMacParams(15.0, 50.0, 1.0, 60.0), -0.995)
+        assert (round(lo, 3), round(hi, 3)) == (3.826, 3.867)
+        for alpha in (lo + 1e-6, 0.5 * (lo + hi), hi - 1e-6):
+            assert min(gdpc_rates(GaussianMacParams(15.0, 50.0, 1.0, 60.0), GdpcParams(-0.995, alpha))) >= 0.0
+
+    def test_endpoints_are_python_floats(self):
+        for m in (FIG4, GaussianMacParams(120.0, 50.0, 1.0, 60.0)):
+            for rho in (0.0, -0.5):
+                (lo, hi), = feasible_alpha_interval(m, rho)
+                assert type(lo) is float and type(hi) is float
+
+    def test_zero_state_variance(self):
+        # the caps do not depend on alpha at Q = 0: every alpha or none
+        m = GaussianMacParams(15.0, 50.0, 0.0, 60.0)
+        assert feasible_alpha_interval(m, 0.0) == [(-math.inf, math.inf)]
+        assert min(gdpc_rates(m, GdpcParams(0.0, 7.0))) >= 0.0
+        assert feasible_alpha_interval(m, -0.9) == []
+        assert min(gdpc_rates(m, GdpcParams(-0.9, 7.0))) < 0.0
+
+    def test_matches_the_scan_and_bisection_it_replaced(self):
+        rng = np.random.default_rng(5)
+        compared = 0
+        while compared < 20:
+            m = GaussianMacParams(*(float(v) for v in 10.0 ** rng.uniform(-0.5, 2.5, size=4)))
+            rho = float(rng.uniform(-0.95, 0.0))
+            old = scanned_alpha_interval(m, rho)
+            if len(old) != 1 or old[0][0] == -2.0 or old[0][1] == 3.0:
+                continue  # the scan window clipped or missed the interval
+            (lo, hi), = feasible_alpha_interval(m, rho)
+            # bisection stops on a bracket under 1e-9 wide and returns its midpoint
+            assert abs(lo - old[0][0]) <= 5e-10 and abs(hi - old[0][1]) <= 5e-10
+            compared += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p1=st.floats(0.1, 1e3), p2=st.floats(0.1, 1e3), q=st.floats(1e-2, 1e4),
+        n=st.floats(0.1, 1e3), rho=st.floats(-0.99, 0.99),
+    )
+    def test_caps_change_sign_at_the_endpoints(self, p1, p2, q, n, rho):
+        m = GaussianMacParams(p1, p2, q, n)
+        (lo, hi), = feasible_alpha_interval(m, rho)
+        step = 1e-6 * (hi - lo)
+        for alpha in (lo + step, hi - step):
+            assert min(gdpc_rates(m, GdpcParams(rho, alpha, allow_positive_rho=True))) >= 0.0
+        for alpha in (lo - step, hi + step):
+            assert min(gdpc_rates(m, GdpcParams(rho, alpha, allow_positive_rho=True))) < 0.0
+
+    def test_upper_end_tends_to_the_large_q_limit(self):
+        for rho in (0.0, -0.5):
+            gaps = []
+            for q in (1e4, 1e6, 1e8, 1e10):
+                m = GaussianMacParams(15.0, 50.0, q, 60.0)
+                (_, hi), = feasible_alpha_interval(m, rho)
+                gaps.append(abs(hi - asymptotic_alpha_max(m, rho)))
+            assert all(later < 0.2 * earlier for earlier, later in zip(gaps, gaps[1:]))
+            assert gaps[-1] < 1e-4
+
+
+def scanned_alpha_interval(m, rho, scan=(-2.0, 3.0), scan_points=1201, resolution=1e-9):
+    """The sampled scan plus bisection ``feasible_alpha_interval`` replaced."""
+
+    def worst(alpha):
+        return min(gdpc_rates(m, GdpcParams(rho, alpha)))
+
+    def bisect(lo, hi):
+        flo = worst(lo)
+        for _ in range(200):
+            if hi - lo <= resolution:
+                break
+            mid = 0.5 * (lo + hi)
+            if (worst(mid) >= 0.0) == (flo >= 0.0):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    xs = np.linspace(scan[0], scan[1], scan_points)
+    fs = [worst(float(x)) for x in xs]
+    intervals = []
+    start = float(xs[0]) if fs[0] >= 0.0 else None
+    for i in range(len(xs) - 1):
+        if fs[i] < 0.0 <= fs[i + 1]:
+            start = bisect(float(xs[i]), float(xs[i + 1]))
+        elif fs[i] >= 0.0 > fs[i + 1]:
+            intervals.append((start, bisect(float(xs[i]), float(xs[i + 1]))))
+            start = None
+    if start is not None:
+        intervals.append((start, float(xs[-1])))
+    return intervals
 
 
 class TestRegions:
