@@ -295,8 +295,6 @@ _EXPORT_FLAGS = (
     ("--out", {"action": "append", "default": [], "metavar": "PATH", "help": "write the export "
                "to PATH (.csv or .json; repeatable); default prints JSON"}),
     ("--nats", {"action": "store_true", "help": "report rates in nats instead of bits"}),
-    ("--sample-step", {"type": float, "default": None, "metavar": "STEP",
-                       "help": "also emit dense boundary samples every STEP along R1"}),
 )
 
 
@@ -473,6 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=entry.help)
         for option, kwargs in (*entry.flags, *_EXPORT_FLAGS):
             p.add_argument(option, **kwargs)
+        if name == "r2max-curve":  # a curve has no boundary to sample
+            p.set_defaults(sample_step=None)
+        else:
+            p.add_argument("--sample-step", type=float, default=None, metavar="STEP",
+                           help="also emit dense boundary samples every STEP along R1")
 
     p = sub.add_parser("figure", help="export the polygons behind a reference figure")
     p.add_argument("name", choices=sorted(FIGURE_PRESETS))

@@ -121,7 +121,7 @@ def _check_rows(arr: np.ndarray, name: str, out: list[Diagnostic]) -> None:
             out.append(Diagnostic("error", loc, f"entry {j} is {float(row[j])!r}, not finite"))
             continue
         if negative[flat_i]:
-            out.append(Diagnostic("error", loc, f"negative probability {row.min()!r}"))
+            out.append(Diagnostic("error", loc, f"negative probability {float(row.min())!r}"))
         if off_total[flat_i]:
             out.append(Diagnostic("error", loc, f"row sums to {float(row.sum())!r}, not 1"))
 

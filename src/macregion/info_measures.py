@@ -99,7 +99,7 @@ class Pmf:
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite atom in pmf: {arr.tolist()!r}")
         if np.any(arr < -PROB_TOL):
-            raise ValueError(f"negative atom in pmf: {arr.min()!r}")
+            raise ValueError(f"negative atom in pmf: {float(arr.min())!r}")
         arr = np.clip(arr, 0.0, None)
         total = math.fsum(arr.tolist())
         if abs(total - 1.0) > PROB_TOL:
@@ -172,7 +172,7 @@ def _checked_tables(stack: np.ndarray) -> np.ndarray:
             idx = tuple(int(i) for i in np.argwhere(~np.isfinite(bad))[0])
             raise ValueError(f"non-finite mass {float(bad[idx])!r} in joint table at index {idx}")
         if negative[k]:
-            raise ValueError(f"negative mass in joint table: {stack[k].min()!r}")
+            raise ValueError(f"negative mass in joint table: {float(stack[k].min())!r}")
         total = math.fsum(table.reshape(-1).tolist())
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"joint table mass is {total!r}, not 1")

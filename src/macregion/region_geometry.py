@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 #: Absolute cross-product tolerance below which hull vertices count as collinear.
+#: The benchmark's reference (``bench/reference.py``) applies the same rule to
+#: its exact regions, so the two change together.
 COLLINEAR_TOL = 1e-12
 
 #: Grid points a sweep evaluates at once (see ``union_cap_blocks``).  A block's
@@ -94,8 +96,8 @@ class RegionPolygon:
     """Convex rate region: vertices in counterclockwise order from the origin.
 
     Degenerate regions are allowed (segment: two vertices, point: one).  For
-    three or more vertices the polygon must be strictly convex; collinear
-    vertices are expected to have been dropped by the constructors below.
+    three or more vertices every turn must be strictly left under the exact
+    predicate, which ``convex_hull_2d`` guarantees for its output.
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -131,9 +133,12 @@ class RegionPolygon:
 def convex_hull_2d(points: Iterable[tuple[float, float]]) -> RegionPolygon:
     """Convex hull of rate pairs with the origin adjoined.
 
-    Monotone chain over the sorted unique points; orientation decisions use
-    the exact predicate, then nearly collinear vertices (cross product within
-    COLLINEAR_TOL) are dropped so the result is strictly convex.
+    Monotone chain over the sorted unique points with every turn decided by
+    the exact predicate: a point making a non-left turn is popped, so the
+    chain's vertices are strictly convex and counterclockwise.  For
+    nonnegative points the origin is the lexicographic minimum and hence the
+    first vertex.  Then nearly collinear vertices (float cross product
+    within COLLINEAR_TOL) other than the origin are dropped.
     """
     pts = {(0.0, 0.0)}
     for x, y in points:
@@ -150,12 +155,7 @@ def convex_hull_2d(points: Iterable[tuple[float, float]]) -> RegionPolygon:
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    verts = lower[:-1] + upper[:-1]
-    if len(verts) < 2:  # all points coincide after chaining
-        verts = pts[:1]
-
+    verts = chain(pts)[:-1] + chain(reversed(pts))[:-1]
     # Drop nearly collinear vertices one at a time (so neighbors stay current);
     # the origin is always kept, every rate region contains it.
     origin = (0.0, 0.0)
@@ -169,9 +169,6 @@ def convex_hull_2d(points: Iterable[tuple[float, float]]) -> RegionPolygon:
                 break
         else:
             break
-
-    k = verts.index(origin)  # origin is the lexicographic minimum, never popped
-    verts = verts[k:] + verts[:k]
     return RegionPolygon(tuple(verts))
 
 
@@ -303,8 +300,7 @@ def _distance_to_region(point, region) -> float:
     best = math.inf
     for i in range(n):
         a, b = verts[i], verts[(i + 1) % n]
-        cross = _cross(a, b, point)
-        if cross < 0.0:
+        if _orientation(a, b, point) < 0:
             inside = False
         best = min(best, _segment_distance(point, a, b))
     return 0.0 if inside else best

@@ -265,6 +265,14 @@ class TestDmSpecLoading:
         assert main(["dm-eval", "--spec", str(path)]) == 2
         assert "/u1_given_sq/0/0" in capsys.readouterr().err
 
+    def test_cli_dm_eval_negative_entry_prints_a_plain_float(self, tmp_path, capsys):
+        doc = spec_doc()
+        doc["u1_given_sq"][0][0] = [1.25, -0.25]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dm-eval", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == "error: /u1_given_sq/0/0: negative probability -0.25\n"
+
 
 class TestFigurePresets:
     def test_fig7_exports_inner_and_outer(self, tmp_path, capsys):

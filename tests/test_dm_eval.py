@@ -393,7 +393,7 @@ def loop_check_rows(arr, name):
             out.append(dm_eval.Diagnostic("error", loc, message))
             continue
         if np.any(row < -PROB_TOL):
-            out.append(dm_eval.Diagnostic("error", loc, f"negative probability {row.min()!r}"))
+            out.append(dm_eval.Diagnostic("error", loc, f"negative probability {float(row.min())!r}"))
         total = float(row.sum())
         if abs(total - 1.0) > PROB_TOL:
             out.append(dm_eval.Diagnostic("error", loc, f"row sums to {total!r}, not 1"))

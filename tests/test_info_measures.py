@@ -100,6 +100,11 @@ class TestPmfAndEntropy:
         with pytest.raises(ValueError):
             Pmf([])
 
+    def test_negative_atom_message_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as err:
+            Pmf([1.1, -0.1])
+        assert str(err.value) == "negative atom in pmf: -0.1"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_atom_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
@@ -151,6 +156,11 @@ class TestJointTable:
         with pytest.raises(ValueError) as stacked:
             _checked_tables(np.stack([good, short, nan]))
         assert str(stacked.value) == str(alone.value) == "joint table mass is 0.8, not 1"
+
+    def test_negative_mass_message_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as err:
+            JointTable([[0.6, 0.5], [-0.1, 0.0]])
+        assert str(err.value) == "negative mass in joint table: -0.1"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_mass(self, bad):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macregion.region_geometry import (
+    COLLINEAR_TOL,
     RatePentagon,
     RegionPolygon,
     contains,
     convex_hull_2d,
+    directed_hausdorff,
     hausdorff,
     is_subset,
     max_r2_at,
@@ -101,7 +104,83 @@ def brute_force_hull_vertices(points):
     return verts
 
 
+def exact_hull(points):
+    """Exact half-plane oracle in rationals, vertices CCW from the lexicographic minimum.
+
+    (a, b) is a hull edge iff every other point lies strictly to its left or
+    on the closed segment ab; the edges then chain the strictly convex vertices.
+    """
+    pts = sorted(set(points))
+    if len(pts) == 1:
+        return tuple(pts)
+    q = [(Fraction(x), Fraction(y)) for x, y in pts]
+
+    def on_edge_side(a, b, c):
+        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return cross > 0 or (cross == 0 and min(a, b) <= c <= max(a, b))
+
+    succ = {}
+    for i, a in enumerate(q):
+        for j, b in enumerate(q):
+            if i != j and all(on_edge_side(a, b, c) for k, c in enumerate(q) if k not in (i, j)):
+                succ[i] = j
+    order = [0]
+    while succ[order[-1]] != 0:
+        order.append(succ[order[-1]])
+    return tuple(pts[i] for i in order)
+
+
+def drop_collinear(verts):
+    """The documented hull rule, applied by hand: a vertex other than the origin
+    whose neighbours' float cross product is within COLLINEAR_TOL is dropped,
+    one at a time, first such vertex first."""
+    verts = list(verts)
+    while len(verts) >= 3:
+        n = len(verts)
+        for i in range(n):
+            (ox, oy), (ax, ay), (bx, by) = verts[i - 1], verts[i], verts[(i + 1) % n]
+            if verts[i] != (0.0, 0.0) and abs((ax - ox) * (by - oy) - (ay - oy) * (bx - ox)) <= COLLINEAR_TOL:
+                del verts[i]
+                break
+        else:
+            break
+    return tuple(verts)
+
+
+def _nudge(v, ulps):
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.inf if ulps > 0 else 0.0)
+    return v
+
+
+@st.composite
+def hard_points(draw):
+    """A nonnegative point as float hulls get it wrong: in a strip 1e-15 thin,
+    or a few ulps off the segment between two anchors."""
+    kind = draw(st.sampled_from(("thin_r2", "thin_r1", "near_collinear")))
+    thin = st.floats(min_value=0.0, max_value=1e-15)
+    if kind == "thin_r2":
+        return (draw(caps), draw(thin))
+    if kind == "thin_r1":
+        return (draw(thin), draw(caps))
+    (ax, ay), (bx, by) = draw(st.sampled_from(((0.0, 0.0), (1.0, 0.0), (0.3, 0.7)))), (2.0, 1.5)
+    t = draw(st.floats(min_value=0.0, max_value=1.0))
+    ulps = st.integers(min_value=-2, max_value=2)
+    return (_nudge(ax + t * (bx - ax), draw(ulps)), _nudge(ay + t * (by - ay), draw(ulps)))
+
+
+# Lists drawn from a small pool, so duplicates are common.
+hard_point_lists = st.lists(hard_points(), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)
+)
+
+
 class TestConvexHull:
+    @settings(max_examples=300, deadline=None)
+    @given(hard_point_lists)
+    def test_equals_exact_half_plane_hull_after_the_collinear_rule(self, pts):
+        assert convex_hull_2d(pts).vertices == drop_collinear(exact_hull(pts + [(0.0, 0.0)]))
+
     def test_random_points_against_half_plane_oracle(self):
         rng = np.random.default_rng(42)
         pts = [(float(x), float(y)) for x, y in rng.random((200, 2))]
@@ -223,6 +302,14 @@ class TestContainmentAndDistance:
         poly = pentagon_vertices(RatePentagon(1.0, 1.0, 1.5))
         assert not contains(poly, (1.0, 0.6), 1e-9)
         assert contains(poly, (1.0, 0.6), 0.2)
+
+    def test_side_test_is_exact(self):
+        # The point is 2.8e-17 bits outside the hypotenuse: its float cross
+        # product rounds to 0.0, the exact one is -6.6e-18.
+        triangle = RegionPolygon(((0.0, 0.0), (0.23757430538220836, 0.0), (0.0, 0.23757430538220836)))
+        point = (0.08588992072553667, 0.15168438465667172)
+        assert not contains(triangle, point, 0.0)
+        assert directed_hausdorff([point], triangle) == pytest.approx(2.8e-17, rel=0.02)
 
     def test_is_subset_reflexive_and_strict(self):
         inner = pentagon_vertices(RatePentagon(0.5, 0.5, 0.8))
