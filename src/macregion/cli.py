@@ -282,7 +282,8 @@ COMMANDS: dict[str, Command] = {
         "max uninformed rate at R1 = 0 versus Q",
         (*_POWERS, _NOISE,
          ("--q-values", {"default": "1,5,20,100,500", "help": "comma-separated state variances"}),
-         *_sweep(41, 161)),
+         ("--rho-steps", {"type": int, "default": 41, "help": "coarse rho grid size (alpha "
+                          "is exact per rho)"})),
     ),
     "dm-eval": Command(
         "evaluate a channel-spec JSON file",
@@ -356,10 +357,10 @@ def _region_export(command: str, parameters: dict, grid: dict, polygon: RegionPo
 
 
 def build_curve_export(parameters: dict, grid: dict, nats: bool = False) -> CurveExport:
+    if set(grid) != {"rho_steps"}:
+        raise ValueError(f"r2max-curve grid takes rho_steps only, got {sorted(grid)}")
     m = _gaussian(parameters, 1.0)
-    curve = gaussian_mac.r2_max_curve(
-        m, parameters["q_values"], rho_steps=grid["rho_steps"], alpha_steps=grid["alpha_steps"]
-    )
+    curve = gaussian_mac.r2_max_curve(m, parameters["q_values"], rho_steps=grid["rho_steps"])
     scale = LN2 if nats else 1.0
     metadata = _metadata("r2max-curve", parameters, dict(grid), nats)
     return CurveExport(metadata=metadata, points=[(q, r * scale) for q, r in curve])
@@ -411,13 +412,13 @@ FIGURE_PRESETS: dict[str, list[tuple[str, str, dict, dict]]] = {
             "r2max_P1_15",
             "r2max-curve",
             {"P1": 15.0, "P2": 50.0, "N": 60.0, "q_values": [1.0, 5.0, 20.0, 100.0, 500.0]},
-            {"rho_steps": 41, "alpha_steps": 161},
+            {"rho_steps": 41},
         ),
         (
             "r2max_P1_60",
             "r2max-curve",
             {"P1": 60.0, "P2": 50.0, "N": 60.0, "q_values": [1.0, 5.0, 20.0, 100.0, 500.0]},
-            {"rho_steps": 41, "alpha_steps": 161},
+            {"rho_steps": 41},
         ),
     ],
     "fig6": [

@@ -42,10 +42,11 @@ from .region_geometry import (
 
 _TOL = 1e-12
 
-#: Default alpha scan window for finite-variance sweeps.  It covers the Costa
-#: scaling but not every feasible alpha: at fig5's Q = 1 (P1 = 15, P2 = 50,
-#: N = 60, rho = 0) ``feasible_alpha_interval`` is about [-1.544, 1.944], which
-#: the window truncates (ROADMAP item 3 tracks the sweep over the exact interval).
+#: Alpha scan window of the finite-variance region sweeps (``inner_region``,
+#: ``dpc_only_region``).  It covers the Costa scaling but not every feasible
+#: alpha: at (P1, P2, Q, N) = (15, 50, 1, 60), rho = 0,
+#: ``feasible_alpha_interval`` is about [-1.544, 1.944], which the window
+#: truncates (ROADMAP item 2 tracks the sweep over the exact interval).
 ALPHA_SPAN = (-0.5, 2.0)
 
 
@@ -222,35 +223,59 @@ def rates_from_covariance(m: GaussianMacParams, g: GdpcParams) -> RateTriple:
     return RateTriple(*(float(r) for r in _covariance_caps(m, g.rho, g.alpha)))
 
 
+def _alpha_roots(m: GaussianMacParams, rho, noise: float):
+    """Roots lo <= hi over a rho array of the quadratic in alpha
+
+        Q (c+n) alpha^2 + 2 (n rho sqrt(P1 Q) - c Q) alpha + n P1 rho^2 - c (P1 + 2 rho sqrt(P1 Q))
+
+    with c = P1 (1 - rho^2) and n = ``noise``.  It is at most 0 exactly where
+    c (P1 + Q + 2 rho sqrt(P1 Q) + n) >= c Q (1-alpha)^2 + n D: for n = N where
+    r1 >= 0, for n = N + P2 where r3 >= r2.  Its quarter discriminant is
+    c^2 Q (P1 + Q + 2 rho sqrt(P1 Q) + n), and the last factor is at least n,
+    so for Q > 0 both roots are real; they are taken in the cancellation-free
+    form q / a and c0 / q, and are NaN only where rounding leaves nothing to
+    take a root of.  Where the alpha^2 coefficient is 0 (Q = 0) the quadratic
+    is the constant c0: (-inf, inf) if it is at most 0, else NaN.
+    """
+    rho = np.asarray(rho, dtype=float)
+    c = m.P1 * (1.0 - rho * rho)
+    cross = rho * np.sqrt(m.P1 * m.Q)
+    a = m.Q * (c + noise)
+    b = noise * cross - c * m.Q
+    c0 = noise * m.P1 * rho * rho - c * (m.P1 + 2.0 * cross)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = c * np.sqrt(m.Q) * np.sqrt(m.P1 + m.Q + 2.0 * cross + noise)
+        q = -(b + np.copysign(root, b))
+        first, second = q / a, c0 / q
+    double = q == 0.0  # b = 0 and c Q = 0: the double root 0
+    lo = np.where(double, 0.0, np.minimum(first, second))
+    hi = np.where(double, 0.0, np.maximum(first, second))
+    flat = a == 0.0
+    lo = np.where(flat, np.where(c0 <= 0.0, -math.inf, math.nan), lo)
+    hi = np.where(flat, np.where(c0 <= 0.0, math.inf, math.nan), hi)
+    return lo, hi
+
+
 def feasible_alpha_interval(m: GaussianMacParams, rho: float) -> list[tuple[float, float]]:
     """The alpha interval where all three caps are nonnegative, as a list of at most one.
 
     r2 is never negative and r1 >= 0 implies r3 >= 0, so the set is where
-    r1 >= 0, i.e. where the quadratic
-
-        Q (c+N) alpha^2 + 2 (N rho sqrt(P1 Q) - c Q) alpha + N P1 rho^2 - c (P1 + 2 rho sqrt(P1 Q))
-
-    is at most 0, with c = P1 (1 - rho^2); its roots are taken in the
-    cancellation-free form q / a and c0 / q.  Empty where the quadratic has
-    no real root.  At Q = 0 the caps do not depend on alpha: the interval is
-    (-inf, inf) if they are nonnegative, else empty.
+    r1 >= 0: between the roots of ``_alpha_roots`` with n = N, of which this
+    is the one-point call.  For Q > 0 it is never empty.  At Q = 0 the caps do
+    not depend on alpha: the interval is (-inf, inf) if they are nonnegative,
+    else empty.
     """
     _check_rho(rho)
-    c = m.P1 * (1.0 - rho * rho)
-    cross = rho * math.sqrt(m.P1 * m.Q)
-    a = m.Q * (c + m.N)
-    b = m.N * cross - c * m.Q
-    c0 = m.N * m.P1 * rho * rho - c * (m.P1 + 2.0 * cross)
-    if a == 0.0:
-        return [(-math.inf, math.inf)] if c0 <= 0.0 else []
-    disc = b * b - a * c0
-    if disc < 0.0:
+    lo, hi = _alpha_roots(m, rho, m.N)
+    if math.isnan(lo):
         return []
-    q = -(b + math.copysign(math.sqrt(disc), b))
-    if q == 0.0:  # b = disc = 0, so c0 = 0 too: the double root 0
-        return [(0.0, 0.0)]
-    lo, hi = sorted((q / a, c0 / q))
     return [(float(lo), float(hi))]
+
+
+def _alpha_grid(alpha_steps: int) -> np.ndarray:
+    if alpha_steps < 2:
+        raise ValueError("alpha_steps must be >= 2")
+    return np.linspace(ALPHA_SPAN[0], ALPHA_SPAN[1], alpha_steps)
 
 
 def _rho_grid(rho_steps: int, explore_positive_rho: bool) -> list[float]:
@@ -267,25 +292,34 @@ def _square(v: float) -> float:
     return v ** 2
 
 
-def _gdpc_kernel(m: GaussianMacParams, rho, alpha):
-    """GDPC caps on broadcast (rho, alpha) arrays, kept where r1, r3 >= 0.
+def _gdpc_terms(m: GaussianMacParams, rho, alpha):
+    """(c Q (1-alpha)^2, D, r1's and r3's log arguments) on broadcast (rho, alpha) arrays.
 
-    Returns the feasibility mask over the broadcast grid and r1, r2, r3 at its
-    True entries (row-major order).  Each equals ``gdpc_rates`` at that point
-    bit for bit: the same operations in the same order, with (1 - alpha)^2 and
-    the logarithms taken per element through the C library.  A cap is
-    nonnegative exactly when its log argument is at least 1, so logarithms are
-    taken at feasible points only.  |rho| < 1 is the caller's to ensure.
+    The operations of ``gdpc_rates`` in the same order, with (1 - alpha)^2
+    taken per element through the C library; a cap is nonnegative exactly
+    when its log argument is at least 1.  |rho| < 1 is the caller's to ensure.
     """
     rho = np.asarray(rho, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     c = m.P1 * (1.0 - rho * rho)
-    cross = rho * math.sqrt(m.P1 * m.Q)
+    cross = rho * np.sqrt(m.P1 * m.Q)
     state = c * m.Q * map_floats(_square, 1.0 - alpha)
     d = m.P1 + alpha * alpha * m.Q + 2.0 * alpha * cross
     b = state + m.N * d
     arg1 = c * (m.P1 + m.Q + 2.0 * cross + m.N) / b
     arg3 = c * (m.P1 + m.P2 + m.Q + 2.0 * cross + m.N) / b
+    return state, d, arg1, arg3
+
+
+def _gdpc_kernel(m: GaussianMacParams, rho, alpha):
+    """GDPC caps on broadcast (rho, alpha) arrays, kept where r1, r3 >= 0.
+
+    Returns the feasibility mask over the broadcast grid and r1, r2, r3 at its
+    True entries (row-major order).  Each equals ``gdpc_rates`` at that point
+    bit for bit (see ``_gdpc_terms``); logarithms are taken per element
+    through the C library, at feasible points only.
+    """
+    state, d, arg1, arg3 = _gdpc_terms(m, rho, alpha)
     feasible = (arg1 >= 1.0) & (arg3 >= 1.0)
     r1 = 0.5 * map_floats(math.log2, arg1[feasible])
     r2 = 0.5 * map_floats(math.log2, 1.0 + m.P2 / (m.N + state[feasible] / d[feasible]))
@@ -320,16 +354,12 @@ def inner_region(
     sweep to positive correlation; keep such results clearly separated from
     the standard region.
     """
-    if alpha_steps < 2:
-        raise ValueError("alpha_steps must be >= 2")
-    alphas = np.linspace(ALPHA_SPAN[0], ALPHA_SPAN[1], alpha_steps)
-    return _gdpc_union(m, _rho_grid(rho_steps, explore_positive_rho), alphas)
+    return _gdpc_union(m, _rho_grid(rho_steps, explore_positive_rho), _alpha_grid(alpha_steps))
 
 
 def dpc_only_region(m: GaussianMacParams, alpha_steps: int = 81) -> RegionPolygon:
     """Inner bound achieved without state cancellation (rho = 0 only)."""
-    alphas = np.linspace(ALPHA_SPAN[0], ALPHA_SPAN[1], alpha_steps)
-    return _gdpc_union(m, [0.0], alphas)
+    return _gdpc_union(m, [0.0], _alpha_grid(alpha_steps))
 
 
 def outer_region(m: GaussianMacParams) -> RatePentagon:
@@ -457,60 +487,123 @@ def uninformed_rate_optimum(m: GaussianMacParams) -> tuple[float, float, float]:
     return 0.0, alpha_star, r2_max
 
 
-def _intercept_max(
-    m: GaussianMacParams, rhos: Sequence[float], alphas: Sequence[float]
-) -> tuple[float, float, float]:
-    """Best (value, rho, alpha) of min(r2, r3) subject to r1 >= 0 and r3 >= 0.
+#: Largest |alpha| a candidate may have: (1 - alpha)^2 must stay finite.
+_ALPHA_MAX = 2.0**500
 
-    Among the grid points (rho-major) with the largest positive value the
-    first wins; (0.0, 0.0, 0.0) when no feasible point has a positive value.
+
+class _StateBatch(NamedTuple):
+    """``GaussianMacParams`` with Q an array, for kernels batched over state variances."""
+
+    P1: float
+    P2: float
+    Q: np.ndarray
+    N: float
+
+
+def _intercept_candidates(m: _StateBatch, rhos: np.ndarray) -> np.ndarray:
+    """The alphas where max over alpha of min(r2, r3) can lie, per rho; NaN for none.
+
+    ``rhos`` has shape (..., 1) and broadcasts against ``m.Q``; the result
+    has 6 along its last axis.  On the feasible interval [lo, hi] of
+    ``_alpha_roots`` the maximum is at an end, at a local maximum of r2 or of
+    r3 below the other cap, or where r2 = r3.  r2's only local maximum is
+    alpha = 1 (its other stationary point is a minimum); r3 peaks where the
+    convex c Q (1-alpha)^2 + N D is least, at
+
+        alpha3 = (c Q - N rho sqrt(P1 Q)) / (Q (c + N));
+
+    and r2 = r3 at the roots of ``_alpha_roots`` with n = N + P2.
+
+    The columns are lo, hi, 1, alpha3 and the two crossings.  Feasibility is
+    the kernel's r1 >= 0 test, which rounding can set apart from the computed
+    interval (by far the most near rho = -1, where c keeps few digits): so 1,
+    alpha3 and the crossings are kept even outside [lo, hi], and an end that
+    fails the test is stepped inward by 1, 2, 4, ... spacings of
+    max(1, |end|), the resolution of the kernel's 1 - alpha, until it passes;
+    it is dropped once the step is as wide as the interval (or ``_ALPHA_MAX``).
     """
-    rhos = np.array([r for r in rhos if abs(r) < 1.0], dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    feasible, _, r2, r3 = _gdpc_kernel(m, rhos[:, None], alphas)
-    value = np.where(r3 < r2, r3, r2)  # min(r2, r3)
-    if not value.size or not value.max() > 0.0:
-        return (0.0, 0.0, 0.0)
-    k = int(np.argmax(value))  # first maximum
-    i, j = np.unravel_index(np.flatnonzero(feasible)[k], feasible.shape)
-    return (float(value[k]), float(rhos[i]), float(alphas[j]))
+    lo, hi = _alpha_roots(m, rhos, m.N)
+    ends = np.concatenate([lo, hi], axis=-1)
+    inward = np.concatenate([np.ones_like(lo), -np.ones_like(hi)], axis=-1)
+    width = np.minimum(np.concatenate([hi - lo, hi - lo], axis=-1), _ALPHA_MAX)
+    step = np.spacing(np.maximum(1.0, np.abs(ends)))
+    pending = np.abs(ends) <= _ALPHA_MAX
+    stepped = np.where(pending, ends, math.nan)
+    passed = np.zeros(ends.shape, dtype=bool)
+    while pending.any():
+        ok = _gdpc_terms(m, rhos, stepped)[2] >= 1.0
+        passed |= pending & ok
+        pending &= ~ok & (step < width)
+        stepped[pending] = ends[pending] + inward[pending] * step[pending]
+        step = 2.0 * step
+    c = m.P1 * (1.0 - rhos * rhos)
+    cross = rhos * np.sqrt(m.P1 * m.Q)
+    alpha3 = (c * m.Q - m.N * cross) / (m.Q * (c + m.N))
+    inner = np.concatenate(
+        [np.ones_like(lo), alpha3, *_alpha_roots(m, rhos, m.N + m.P2)], axis=-1)
+    inner[~(np.abs(inner) <= _ALPHA_MAX)] = math.nan
+    cands = np.concatenate([np.where(passed, stepped, math.nan), inner], axis=-1)
+    # D > 0 in exact arithmetic; where it rounds to <= 0 the caps cannot be taken.
+    d = m.P1 + cands * cands * m.Q + 2.0 * cands * cross
+    return np.where(d > 0.0, cands, math.nan)
+
+
+def _r2_max_points(m: GaussianMacParams, state_variances: np.ndarray, rho_steps: int):
+    """(value, rho, alpha) arrays of the largest min(r2, r3) with r1, r3 >= 0, per Q.
+
+    The alpha is exact per rho (``_intercept_candidates``); rho takes the
+    coarse grid of ``rho_steps`` points, then as many again spanning one coarse
+    step either side of each Q's best.  Each value is min(r2, r3) of
+    ``gdpc_rates`` at its point bit for bit; among equal values the first
+    point (rho-major, coarse grid first) wins, and (0.0, 0.0, 0.0) stands for
+    no feasible point with a positive value.
+    """
+    batch = _StateBatch(m.P1, m.P2, np.asarray(state_variances, dtype=float)[:, None, None], m.N)
+    rows = np.arange(batch.Q.shape[0])
+
+    def best(rhos: np.ndarray):
+        # A candidate far out can overflow the kernel's terms: it reads as infeasible.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cands = _intercept_candidates(batch, rhos[..., None])
+            feasible, _, r2, r3 = _gdpc_kernel(batch, rhos[..., None], cands)
+        value = np.full(feasible.shape, -math.inf)
+        value[feasible] = np.where(r3 < r2, r3, r2)  # min(r2, r3)
+        value = value.reshape(len(rows), -1)
+        k = np.argmax(value, axis=1)  # first maximum
+        top = value[rows, k]
+        found = top > 0.0
+        i, j = np.unravel_index(k, cands.shape[1:])
+        return (np.where(found, top, 0.0), np.where(found, rhos[rows, i], 0.0),
+                np.where(found, cands[rows, i, j], 0.0))
+
+    coarse = np.array(_rho_grid(rho_steps, explore_positive_rho=False))
+    coarse = best(np.broadcast_to(coarse, (len(rows), coarse.size)))
+    d_rho = 1.0 / (rho_steps - 1)
+    fine = best(np.clip(np.linspace(coarse[1] - d_rho, coarse[1] + d_rho, rho_steps, axis=1),
+                        -1.0 + 1e-9, 0.0))
+    better = fine[0] > coarse[0]
+    return tuple(np.where(better, f, c) for f, c in zip(fine, coarse))
 
 
 def r2_max_curve(
     m: GaussianMacParams,
     state_variances: Sequence[float],
     rho_steps: int = 41,
-    alpha_steps: int = 161,
 ) -> list[tuple[float, float]]:
     """Largest R2 at R1 = 0 versus the state variance Q.
 
-    For each Q the grid search maximizes the pentagon's R2-axis intercept
-    min(r2, r3) over feasible (rho, alpha), then refines once around the
-    best coarse point.  Q values must be positive; P1, P2, N come from ``m``.
+    For each Q the pentagon's R2-axis intercept min(r2, r3) is maximised over
+    feasible (rho, alpha): exactly over alpha, over rho on a grid refined once
+    around its best point (``_r2_max_points``).  Q values must be positive and
+    there must be at least one; P1, P2, N come from ``m``.
     """
+    if not len(state_variances):
+        raise ValueError("state variances must not be empty")
     for q in state_variances:
         if not q > 0.0:
             raise ValueError(f"state variances must be positive, got {q!r}")
-    rhos = _rho_grid(rho_steps, explore_positive_rho=False)
-    alphas = np.linspace(ALPHA_SPAN[0], ALPHA_SPAN[1], alpha_steps)
-    d_rho = 1.0 / (rho_steps - 1)
-    d_alpha = (ALPHA_SPAN[1] - ALPHA_SPAN[0]) / (alpha_steps - 1)
-
-    def solve(q: float) -> tuple[float, float]:
-        mq = replace(m, Q=float(q))
-        value, rho0, alpha0 = _intercept_max(mq, rhos, alphas)
-        fine_rhos = np.clip(
-            np.linspace(rho0 - d_rho, rho0 + d_rho, rho_steps), -1.0 + 1e-9, 0.0
-        )
-        fine_alphas = np.clip(
-            np.linspace(alpha0 - d_alpha, alpha0 + d_alpha, alpha_steps),
-            ALPHA_SPAN[0],
-            ALPHA_SPAN[1],
-        )
-        refined, _, _ = _intercept_max(mq, [float(r) for r in fine_rhos], fine_alphas)
-        return float(q), max(value, refined)
-
-    return [solve(q) for q in state_variances]
+    qs = [replace(m, Q=float(q)).Q for q in state_variances]  # raises for an infinite Q
+    return list(zip(qs, _r2_max_points(m, np.array(qs), rho_steps)[0].tolist()))
 
 
 def gdpc_decompose(m: GaussianMacParams, g: GdpcParams) -> GdpcDecomposition:

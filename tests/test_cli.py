@@ -75,15 +75,20 @@ class TestRegionExports:
                 "r2max-curve",
                 "--P1", "15", "--P2", "50", "--N", "60",
                 "--q-values", "1,20",
-                "--rho-steps", "9", "--alpha-steps", "33",
+                "--rho-steps", "9",
                 "--out", str(json_path),
             ]
         )
         assert code == 0
         doc = json.loads(json_path.read_text())
         assert [q for q, _ in doc["points"]] == [1.0, 20.0]
+        assert doc["metadata"]["grid"] == {"rho_steps": 9}
         again = rebuild_from_metadata(doc["metadata"])
         assert again.json_doc() == doc
+        # an export from the alpha grid search cannot be rebuilt bit for bit
+        old = {**doc["metadata"], "grid": {"rho_steps": 9, "alpha_steps": 33}}
+        with pytest.raises(ValueError, match="rho_steps only"):
+            rebuild_from_metadata(old)
 
     def test_nats_rescales_rates(self, tmp_path):
         bits_path = tmp_path / "bits.json"

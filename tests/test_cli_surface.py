@@ -35,6 +35,7 @@ BIN = ["--p1", "0.1", "--p2", "0.4", "--q", "0.2"]
 GAUSS = ["--P1", "15", "--P2", "50", "--Q", "20", "--N", "60"]
 ASYM = ["--P1", "120", "--P2", "50", "--N", "60"]
 SMALL = ["--rho-steps", "5", "--alpha-steps", "9"]
+CURVE = ["r2max-curve", "--P1", "15", "--P2", "50", "--N", "60"]
 
 INVOCATIONS: list[list[str]] = [
     ["-h"],
@@ -50,7 +51,7 @@ INVOCATIONS: list[list[str]] = [
     ["gaussian-outer", "--P1", "15", "--P2", "50", "--N", "60"],
     ["asymptotic-region", *ASYM],
     ["asymptotic-outer", *ASYM],
-    ["r2max-curve", "--P1", "15", "--P2", "50", "--N", "60"],
+    CURVE,
     ["dm-eval", "--spec", "spec.json"],
     # ... and with options
     ["binary-region", *BIN, "--grid", "11", "--nats", "--sample-step", "0.1",
@@ -65,9 +66,8 @@ INVOCATIONS: list[list[str]] = [
     ["gaussian-outer", *GAUSS, "--nats"],
     ["asymptotic-region", *ASYM, *SMALL, "--sample-step", "0.25"],
     ["asymptotic-outer", *ASYM, "--nats", "--out", "a.csv"],
-    ["r2max-curve", "--P1", "15", "--P2", "50", "--N", "60", "--q-values", "1, 20,,100",
-     *SMALL, "--out", "c.csv", "--out", "c.json"],
-    ["r2max-curve", "--P1", "60", "--P2", "50", "--N", "60", "--q-values", "5", *SMALL,
+    [*CURVE, "--q-values", "1, 20,,100", "--rho-steps", "5", "--out", "c.csv", "--out", "c.json"],
+    ["r2max-curve", "--P1", "60", "--P2", "50", "--N", "60", "--q-values", "5", "--rho-steps", "5",
      "--nats", "--sample-step", "0.1"],
     ["dm-eval", "--spec", "spec.json", "--nats", "--sample-step", "0.1", "--out", "d.json"],
     ["dm-eval", "--spec", "advisory_spec.json", "--out", "d.csv"],
@@ -92,7 +92,10 @@ INVOCATIONS: list[list[str]] = [
     ["dm-eval", "--spec", "nan_spec.json"],
     ["dm-eval", "--spec", "missing.json"],
     ["dm-eval", "--spec", "not_json.json"],
-    ["r2max-curve", "--P1", "15", "--P2", "50", "--N", "60", "--q-values", "1,abc"],
+    [*CURVE, "--q-values", "1,abc"],
+    [*CURVE, "--q-values", ","],
+    [*CURVE, "--q-values", "5", "--alpha-steps", "9"],
+    ["gaussian-region", *GAUSS, "--dpc-only", "--alpha-steps", "0"],
     ["figure", "fig99"],
     ["verify", "nonsense"],
 ]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +200,28 @@ class TestFeasibleAlphaInterval:
         for alpha in (lo - step, hi + step):
             assert min(gdpc_rates(m, GdpcParams(rho, alpha, allow_positive_rho=True))) < 0.0
 
+    def test_ends_are_exact_near_full_correlation(self):
+        # With P1 = Q = 1 every coefficient of the r1 >= 0 quadratic is rational
+        # in rho.  Expanding b^2 - a c0 lost c's 9 leading digits here, and the
+        # interval came out as about [1 - 1.3e-8, 1 + 1.1e-8], which holds the
+        # infeasible alpha = 1.
+        m = GaussianMacParams(1.0, 1.0, 1.0, 10.0)
+        rho = -1.0 + 1e-9
+        r, n = Fraction(rho), Fraction(m.N)
+        c = 1 - r * r
+
+        def quadratic(alpha):
+            x = Fraction(alpha)
+            return (c + n) * x * x + 2 * (n * r - c) * x + n * r * r - c * (1 + 2 * r)
+
+        (lo, hi), = feasible_alpha_interval(m, rho)
+        assert hi < 1.0
+        for end, outward in ((lo, -math.inf), (hi, math.inf)):
+            out, inside = end, end
+            for _ in range(4):
+                out, inside = math.nextafter(out, outward), math.nextafter(inside, -outward)
+            assert quadratic(out) > 0 > quadratic(inside)
+
     def test_upper_end_tends_to_the_large_q_limit(self):
         for rho in (0.0, -0.5):
             gaps = []
@@ -244,6 +267,13 @@ def scanned_alpha_interval(m, rho, scan=(-2.0, 3.0), scan_points=1201, resolutio
 
 
 class TestRegions:
+    @pytest.mark.parametrize("alpha_steps", [-1, 0, 1])
+    def test_alpha_grid_needs_two_points(self, alpha_steps):
+        for sweep in (lambda: inner_region(FIG4, alpha_steps=alpha_steps),
+                      lambda: dpc_only_region(FIG4, alpha_steps=alpha_steps)):
+            with pytest.raises(ValueError, match="alpha_steps must be >= 2"):
+                sweep()
+
     def test_dpc_only_inside_full_sweep(self):
         full = inner_region(FIG4, rho_steps=11, alpha_steps=41)
         dpc = dpc_only_region(FIG4, alpha_steps=41)
@@ -437,6 +467,11 @@ class TestR2MaxCurve:
         m = GaussianMacParams(15.0, 50.0, 1.0, 60.0)
         with pytest.raises(ValueError):
             r2_max_curve(m, [0.0])
+
+    def test_rejects_no_variances(self):
+        m = GaussianMacParams(15.0, 50.0, 1.0, 60.0)
+        with pytest.raises(ValueError, match="state variances must not be empty"):
+            r2_max_curve(m, [])
 
 
 class TestDecomposition:

@@ -41,19 +41,33 @@ binary_params = st.builds(B.BinaryMacParams, halves, halves, halves)
 unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
 
 
-def old_intercept_max(m, rhos, alphas):
-    """The per-point scan ``_intercept_max`` replaced: strict improvements only."""
-    best = (0.0, 0.0, 0.0)
-    for rho in rhos:
-        if abs(rho) >= 1.0:
-            continue
-        for alpha in alphas:
-            r1, r2, r3 = G.gdpc_rates(m, G.GdpcParams(rho, float(alpha)))
-            if r1 >= 0.0 and r3 >= 0.0:
-                value = min(r2, r3)
-                if value > best[0]:
-                    best = (value, rho, float(alpha))
-    return best
+def grid_intercept_max(m, rhos, alphas):
+    """Best (value, rho, alpha) of min(r2, r3) over a (rho, alpha) grid, first maximum winning.
+
+    The grid search ``r2_max_curve`` ran before its alpha became exact; the
+    kernel it calls is checked against ``gdpc_rates`` above.
+    """
+    rhos = np.array([r for r in rhos if abs(r) < 1.0], dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
+    feasible, _, r2, r3 = G._gdpc_kernel(m, rhos[:, None], alphas)
+    value = np.where(r3 < r2, r3, r2)
+    if not value.size or not value.max() > 0.0:
+        return (0.0, 0.0, 0.0)
+    k = int(np.argmax(value))
+    i, j = np.unravel_index(np.flatnonzero(feasible)[k], feasible.shape)
+    return (float(value[k]), float(rhos[i]), float(alphas[j]))
+
+
+def grid_r2_max(m, rho_steps=41, alpha_steps=161):
+    """The two-stage (rho, alpha) grid search over ``ALPHA_SPAN`` that the exact alpha replaced."""
+    alphas = np.linspace(*G.ALPHA_SPAN, alpha_steps)
+    value, rho0, alpha0 = grid_intercept_max(m, np.linspace(-1.0, 0.0, rho_steps), alphas)
+    d_rho = 1.0 / (rho_steps - 1)
+    d_alpha = (G.ALPHA_SPAN[1] - G.ALPHA_SPAN[0]) / (alpha_steps - 1)
+    fine_rhos = np.clip(np.linspace(rho0 - d_rho, rho0 + d_rho, rho_steps), -1.0 + 1e-9, 0.0)
+    fine_alphas = np.clip(np.linspace(alpha0 - d_alpha, alpha0 + d_alpha, alpha_steps),
+                          *G.ALPHA_SPAN)
+    return max(value, grid_intercept_max(m, fine_rhos, fine_alphas)[0])
 
 
 def old_gdpc_union(m, rhos, alphas):
@@ -188,30 +202,94 @@ class TestAsymptoticKernel:
         assert region.vertices == ((0.0, 0.0),)
 
 
-class TestInterceptMax:
-    @given(gaussian_params,
-           st.lists(st.one_of(st.just(-1.0), st.just(0.0),
-                              st.floats(min_value=-0.999999, max_value=0.0)),
-                    min_size=1, max_size=5),
-           st.lists(alphas, min_size=1, max_size=10))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_the_scan(self, m, rho_list, alpha_list):
-        # Repeating the lists makes exact ties, so the first-maximum rule shows.
-        rho_list, alpha_list = rho_list * 2, alpha_list * 2
-        expected = old_intercept_max(m, rho_list, alpha_list)
-        assert G._intercept_max(m, rho_list, alpha_list) == expected
+#: Absolute rounding allowed when a grid point meets an exact maximiser: the
+#: caps are logarithms of arguments with a few ulps of relative error.
+ROUNDING = 1e-12
+
+
+def decades(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+class TestExactIntercept:
+    """``r2_max_curve`` maximises min(r2, r3) exactly over alpha, per rho."""
+
+    @given(decades(-2, 3.5), decades(-2, 3.5), decades(-2, 3.5), decades(-3, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_beats_the_grid_search_at_a_gdpc_point(self, p1, p2, n, q):
+        m = G.GaussianMacParams(p1, p2, q, n)
+        (value,), (rho,), (alpha,) = G._r2_max_points(m, np.array([q]), 41)
+        # A grid alpha can sit within rounding of a flat maximum (0.5 against the
+        # computed alpha3 = 0.49999999885 at P1 = N = 1, rho = 0) and read an
+        # ulp higher, so the caps' rounding is allowed for.
+        assert value >= grid_r2_max(m) - ROUNDING
+        t = G.gdpc_rates(m, G.GdpcParams(float(rho), float(alpha)))
+        assert t.r1 >= 0.0 and t.r3 >= 0.0
+        assert value == min(t.r2, t.r3)
+        assert G.r2_max_curve(m, [q]) == [(q, value)]
+
+    @given(decades(-2, 3.5), decades(-2, 3.5), decades(-2, 3.5), decades(-3, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_array_roots_equal_the_interval(self, p1, p2, n, q):
+        m = G.GaussianMacParams(p1, p2, q, n)
+        rho_grid = np.linspace(-1.0, 0.0, 41)[1:]
+        for lo, hi, rho in zip(*G._alpha_roots(m, rho_grid, m.N), rho_grid.tolist()):
+            assert G.feasible_alpha_interval(m, rho) == [(lo, hi)]  # never empty for Q > 0
+
+    @given(decades(-2, 3.5), decades(-2, 3.5), decades(-2, 3.5), decades(-3, 6),
+           st.floats(min_value=-0.999, max_value=0.0))
+    @settings(max_examples=100, deadline=None)
+    def test_candidates_beat_a_dense_alpha_sweep(self, p1, p2, n, q, rho):
+        m = G.GaussianMacParams(p1, p2, q, n)
+        batch = G._StateBatch(p1, p2, np.array([[q]]), n)
+        cands = G._intercept_candidates(batch, np.array([[rho]]))[0]
+        _, _, r2, r3 = G._gdpc_kernel(m, rho, cands[~np.isnan(cands)])
+        (lo, hi), = G.feasible_alpha_interval(m, rho)
+        _, _, d2, d3 = G._gdpc_kernel(m, rho, np.linspace(lo, hi, 2001))
+        assert np.minimum(d2, d3).max() <= np.minimum(r2, r3).max() + ROUNDING
 
     def test_first_of_tied_points_wins(self):
-        # Without state (Q = 0) the caps do not depend on alpha: every alpha ties.
-        m = G.GaussianMacParams(15, 50, 0.0, 60)
-        value, rho, alpha = G._intercept_max(m, [-0.5, 0.0], [0.5, -0.3, 1.2])
-        assert (rho, alpha) == (0.0, 0.5)
-        assert (value, rho, alpha) == old_intercept_max(m, [-0.5, 0.0], [0.5, -0.3, 1.2])
+        # At Q = 1 alpha = 1 reaches the state-free cap for many rho: the first wins.
+        m = G.GaussianMacParams(15.0, 50.0, 1.0, 60.0)
+        (value,), (rho,), (alpha,) = G._r2_max_points(m, np.array([1.0]), 41)
+        assert (value, alpha) == (G.outer_region(m).c2, 1.0)
+        rhos = np.linspace(-1.0, 0.0, 41)[1:]
+        cands = G._intercept_candidates(G._StateBatch(15.0, 50.0, np.array([[1.0]]), 60.0),
+                                        rhos[:, None])
+        reached = []
+        for r, row in zip(rhos.tolist(), cands):
+            _, _, r2, r3 = G._gdpc_kernel(m, r, row)
+            if np.minimum(r2, r3).max() == value:
+                reached.append(r)
+        assert len(reached) > 1 and rho == reached[0]
 
-    def test_nothing_feasible_falls_back_to_zeros(self):
-        m = G.GaussianMacParams(15, 50, 20, 60)
-        assert G._intercept_max(m, [-1.0], [0.0, 1.0]) == (0.0, 0.0, 0.0)
-        assert G._intercept_max(m, [-0.5], [50.0]) == old_intercept_max(m, [-0.5], [50.0])
+    def test_batched_state_variances_equal_one_at_a_time(self):
+        qs = [1.0, 5.0, 20.0, 100.0, 500.0, 1e-9, 1e10]
+        for p1 in (15.0, 60.0):
+            m = G.GaussianMacParams(p1, 50.0, 1.0, 60.0)
+            assert G.r2_max_curve(m, qs) == [G.r2_max_curve(m, [q])[0] for q in qs]
+
+    @pytest.mark.parametrize("p1", [15.0, 60.0, 120.0])
+    def test_tends_to_the_large_state_optimum(self, p1):
+        m = G.GaussianMacParams(p1, 50.0, 1.0, 60.0)
+        (_, value), = G.r2_max_curve(m, [1e10])
+        assert abs(value - G.uninformed_rate_optimum(m)[2]) < 1e-8
+
+    def test_extreme_state_variances_stay_finite(self):
+        # the roots never square a coefficient, and candidates beyond |alpha| = 2^500 drop out
+        m = G.GaussianMacParams(15.0, 50.0, 1.0, 60.0)
+        curve = G.r2_max_curve(m, [5e-324, 1e-300, 1e300])
+        assert [v for _, v in curve[:2]] == [G.outer_region(m).c2] * 2
+        assert abs(curve[2][1] - G.uninformed_rate_optimum(m)[2]) < 1e-8
+
+    def test_candidates_where_d_rounds_to_zero_are_skipped(self):
+        # D = (alpha sqrt(Q) + rho sqrt(P1))^2 + c rounds to -6.8e-213 at
+        # rho = -0.975, alpha = 3.5e-168, and math.log2 rejects r2's argument there.
+        m = G.GaussianMacParams(7.534323085542296e-213, 2.001168495174621e+131,
+                                5.79931516482907e+122, 1.3694796331376925e-204)
+        (value,), (rho,), (alpha,) = G._r2_max_points(m, np.array([m.Q]), 41)
+        t = G.gdpc_rates(m, G.GdpcParams(float(rho), float(alpha)))
+        assert value == min(t.r2, t.r3) and t.r1 >= 0.0
 
 
 class TestBinaryKernel:
@@ -304,13 +382,6 @@ class TestRegionsEqualThePerPointRoute:
             assert G.inner_region(m, 101, 401).vertices == old_gaussian_region(m, 101, 401).vertices
         m = B.BinaryMacParams(0.4513, 0.1, 0.2017)
         assert B.inner_region(m, 201).vertices == old_binary_region(m, 201).vertices
-
-    def test_r2_max_curve(self, monkeypatch):
-        m = G.GaussianMacParams(15, 50, 20, 60)
-        q_values = [1.0, 5.0, 20.0, 100.0]
-        new = G.r2_max_curve(m, q_values, rho_steps=9, alpha_steps=33)
-        monkeypatch.setattr(G, "_intercept_max", old_intercept_max)
-        assert new == G.r2_max_curve(m, q_values, rho_steps=9, alpha_steps=33)
 
 
 class TestUnionCaps:
