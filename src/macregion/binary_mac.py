@@ -21,7 +21,7 @@ import numpy as np
 
 from .dm_eval import DmChannelSpec
 from .info_measures import PROB_TOL, Pmf, binary_convolve, binary_entropy, binary_entropy_array
-from .region_geometry import BLOCK_POINTS, RatePentagon, RegionPolygon, union_cap_blocks
+from .region_geometry import BLOCK_POINTS, RatePentagon, RegionPolygon, union_pruned_blocks
 
 
 class InfeasibleParameters(ValueError):
@@ -103,6 +103,13 @@ def standard_dpc_pentagon(m: BinaryMacParams) -> RatePentagon:
     return inner_pentagon(m, BinaryDpcParams(m.p1, 1.0 - m.p1))
 
 
+def _mixture(m: BinaryMacParams, a10: np.ndarray, a01: np.ndarray):
+    """u = P(U1 = 1) and binary_convolve(p2, u) at arrays of (a10, a01)."""
+    u = m.q * a01 + (1.0 - m.q) * a10
+    uc = np.clip(u, 0.0, 1.0)
+    return u, m.p2 * (1.0 - uc) + uc * (1.0 - m.p2)
+
+
 def _pentagon_caps(m: BinaryMacParams, a10: np.ndarray, a01: np.ndarray):
     """Caps (c1, c2, c12) of ``inner_pentagon`` at arrays of feasible (a10, a01).
 
@@ -111,9 +118,7 @@ def _pentagon_caps(m: BinaryMacParams, a10: np.ndarray, a01: np.ndarray):
     not depend on the point and is returned as a scalar.
     """
     c1 = (1.0 - m.q) * binary_entropy_array(a10) + m.q * binary_entropy_array(a01)
-    u = m.q * a01 + (1.0 - m.q) * a10  # P(U1 = 1)
-    uc = np.clip(u, 0.0, 1.0)
-    conv = m.p2 * (1.0 - uc) + uc * (1.0 - m.p2)  # binary_convolve(p2, u)
+    u, conv = _mixture(m, a10, a01)
     c12 = c1 + binary_entropy_array(conv) - binary_entropy_array(u)
     return c1, binary_entropy(m.p2), np.where(c12 < 0.0, 0.0, c12)
 
@@ -125,35 +130,46 @@ def _grid_axis(grid_steps: int) -> np.ndarray:
 
 
 def _feasible_mesh(m: BinaryMacParams, a10: np.ndarray, a01: np.ndarray):
-    """Feasible points of the grid a10 x a01, a10-major."""
-    a10, a01 = np.meshgrid(a10, a01, indexing="ij")
-    keep = (1.0 - m.q) * a10 + m.q * (1.0 - a01) <= m.p1 + PROB_TOL  # is_feasible
-    return a10[keep], a01[keep]
+    """Index pairs (i, j) of the feasible points (a10[i], a01[j]) of the grid a10 x a01, a10-major."""
+    i, j = np.meshgrid(np.arange(a10.size), np.arange(a01.size), indexing="ij")
+    keep = (1.0 - m.q) * a10[i] + m.q * (1.0 - a01[j]) <= m.p1 + PROB_TOL  # is_feasible
+    return i[keep], j[keep]
 
 
 def feasible_grid(m: BinaryMacParams, grid_steps: int) -> list[BinaryDpcParams]:
     """Uniform (a10, a01) grid over [0,1]^2 with infeasible points skipped."""
     axis = _grid_axis(grid_steps)
-    a10, a01 = _feasible_mesh(m, axis, axis)
-    return [BinaryDpcParams(a, b) for a, b in zip(a10.tolist(), a01.tolist())]
+    i, j = _feasible_mesh(m, axis, axis)
+    return [BinaryDpcParams(a, b) for a, b in zip(axis[i].tolist(), axis[j].tolist())]
 
 
 def inner_region(m: BinaryMacParams, grid_steps: int = 41) -> RegionPolygon:
     """Convex closure of the pentagon union over the feasible (a10, a01) grid.
 
-    The grid is evaluated a block of whole a10 rows at a time; a block
-    without a feasible point is skipped.
+    The grid is evaluated a block of whole a10 rows at a time.  c1 comes
+    from the entropies of the grid axis, exactly; c12's entropies are taken
+    with ``np.log2`` to select the pentagons that can reach the hull, and
+    only those get ``_pentagon_caps``'s exact caps (see
+    ``union_pruned_blocks``).
     """
     axis = _grid_axis(grid_steps)
+    entropy = binary_entropy_array(axis)
     step = max(1, BLOCK_POINTS // grid_steps)
 
     def blocks():
-        for i in range(0, grid_steps, step):
-            a10, a01 = _feasible_mesh(m, axis[i : i + step], axis)
-            if a10.size:
-                yield _pentagon_caps(m, a10, a01)
+        for start in range(0, grid_steps, step):
+            i, j = _feasible_mesh(m, axis[start : start + step], axis)
+            yield i + start, j
 
-    return union_cap_blocks(blocks())
+    def estimate(i, j):
+        c1 = (1.0 - m.q) * entropy[i] + m.q * entropy[j]
+        u, conv = _mixture(m, axis[i], axis[j])
+        h_conv = binary_entropy_array(conv, np.log2)
+        h_u = binary_entropy_array(u, np.log2)
+        c12 = c1 + h_conv - h_u
+        return (c1, binary_entropy(m.p2), np.where(c12 < 0.0, 0.0, c12)), (0.0, 0.0, c1 + h_conv + h_u)
+
+    return union_pruned_blocks(blocks(), estimate, lambda i, j: _pentagon_caps(m, axis[i], axis[j]))
 
 
 def outer_region(m: BinaryMacParams) -> RatePentagon:

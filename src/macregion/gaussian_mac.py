@@ -36,8 +36,8 @@ from .region_geometry import (
     BLOCK_POINTS,
     RatePentagon,
     RegionPolygon,
-    union_cap_blocks,
     union_caps,
+    union_pruned_blocks,
 )
 
 _TOL = 1e-12
@@ -48,6 +48,9 @@ _TOL = 1e-12
 #: ``feasible_alpha_interval`` is about [-1.544, 1.944], which the window
 #: truncates (ROADMAP item 2 tracks the sweep over the exact interval).
 ALPHA_SPAN = (-0.5, 2.0)
+
+#: Largest (P1 + P2 + N)(P1 + P2 + Q + N) the GDPC kernels take (see ``_check_range``).
+_TERM_MAX = 1e306
 
 
 @dataclass(frozen=True)
@@ -311,6 +314,19 @@ def _gdpc_terms(m: GaussianMacParams, rho, alpha):
     return state, d, arg1, arg3
 
 
+def _gdpc_log_args(m: GaussianMacParams, rho, alpha):
+    """Feasibility mask and the log arguments of r1, r2, r3 at its True entries.
+
+    The mask is over the broadcast (rho, alpha) grid (r1, r3 >= 0: the log
+    arguments of r1 and r3 are at least 1); the arguments follow in
+    row-major order.  See ``_gdpc_terms``.
+    """
+    state, d, arg1, arg3 = _gdpc_terms(m, rho, alpha)
+    feasible = (arg1 >= 1.0) & (arg3 >= 1.0)
+    arg2 = 1.0 + m.P2 / (m.N + state[feasible] / d[feasible])
+    return feasible, arg1[feasible], arg2, arg3[feasible]
+
+
 def _gdpc_kernel(m: GaussianMacParams, rho, alpha):
     """GDPC caps on broadcast (rho, alpha) arrays, kept where r1, r3 >= 0.
 
@@ -319,26 +335,59 @@ def _gdpc_kernel(m: GaussianMacParams, rho, alpha):
     bit for bit (see ``_gdpc_terms``); logarithms are taken per element
     through the C library, at feasible points only.
     """
-    state, d, arg1, arg3 = _gdpc_terms(m, rho, alpha)
-    feasible = (arg1 >= 1.0) & (arg3 >= 1.0)
-    r1 = 0.5 * map_floats(math.log2, arg1[feasible])
-    r2 = 0.5 * map_floats(math.log2, 1.0 + m.P2 / (m.N + state[feasible] / d[feasible]))
-    r3 = 0.5 * map_floats(math.log2, arg3[feasible])
-    return feasible, r1, r2, r3
+    feasible, *args = _gdpc_log_args(m, rho, alpha)
+    return (feasible, *_log_caps(*args))
+
+
+def _log_caps(*args):
+    """0.5 log2 of each log-argument array, per element through the C library."""
+    return tuple(0.5 * map_floats(math.log2, a) for a in args)
+
+
+def _check_range(m: GaussianMacParams) -> None:
+    """Raise, naming the largest parameter, where the GDPC rate terms can overflow.
+
+    Every term the sweeps form for alpha in ``ALPHA_SPAN``, and every
+    alpha-free term of ``r2_max_curve``'s candidates, is below
+    10 (P1 + P2 + N)(P1 + P2 + Q + N): Q only ever multiplies another
+    parameter.
+    """
+    scale = (m.P1 + m.P2 + m.N) * (m.P1 + m.P2 + m.Q + m.N)
+    if not scale <= _TERM_MAX:
+        name, value = max(zip(("P1", "P2", "Q", "N"), (m.P1, m.P2, m.Q, m.N)), key=lambda t: t[1])
+        raise ValueError(
+            f"{name}={value!r} is too large: the GDPC rate terms overflow once "
+            f"(P1 + P2 + N)(P1 + P2 + Q + N) exceeds {_TERM_MAX!r}"
+        )
 
 
 def _gdpc_union(m: GaussianMacParams, rhos: Sequence[float], alphas) -> RegionPolygon:
     """Union of the feasible (r1, r3 >= 0) GDPC pentagons; the origin if none.
 
     The grid is evaluated a block of whole alpha columns at a time, so each
-    (1 - alpha)^2 is taken once.
+    (1 - alpha)^2 is taken once.  ``np.log2`` caps select the pentagons that
+    can reach the hull; only those get the exact caps of ``_gdpc_kernel``
+    (see ``union_pruned_blocks``).
     """
+    _check_range(m)
     rhos = np.array(rhos, dtype=float)[:, None]
     alphas = np.asarray(alphas, dtype=float)
     step = max(1, BLOCK_POINTS // max(1, len(rhos)))
-    return union_cap_blocks(
-        _gdpc_kernel(m, rhos, alphas[j : j + step])[1:] for j in range(0, alphas.size, step)
-    )
+
+    def estimate(*args):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            caps = tuple(0.5 * np.log2(a) for a in args)
+        return caps, caps
+
+    def blocks():
+        for j in range(0, alphas.size, step):
+            # An overflow past _check_range (N near the smallest double) gives
+            # an infinite cap, which the selection reports.
+            with np.errstate(over="ignore", divide="ignore"):
+                args = _gdpc_log_args(m, rhos, alphas[j : j + step])[1:]
+            yield args
+
+    return union_pruned_blocks(blocks(), estimate, _log_caps)
 
 
 def inner_region(
@@ -603,6 +652,8 @@ def r2_max_curve(
         if not q > 0.0:
             raise ValueError(f"state variances must be positive, got {q!r}")
     qs = [replace(m, Q=float(q)).Q for q in state_variances]  # raises for an infinite Q
+    for q in qs:
+        _check_range(replace(m, Q=q))
     return list(zip(qs, _r2_max_points(m, np.array(qs), rho_steps)[0].tolist()))
 
 

@@ -41,10 +41,14 @@ def map_floats(fn, a) -> np.ndarray:
     return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _plogp_array(p: np.ndarray) -> np.ndarray:
+def _exact_log2(a: np.ndarray) -> np.ndarray:
+    return map_floats(math.log2, a)
+
+
+def _plogp_array(p: np.ndarray, log2=_exact_log2) -> np.ndarray:
     out = np.zeros(p.shape)
     pos = ~(p <= 0.0)  # _plogp's branch, NaN included
-    out[pos] = -p[pos] * map_floats(math.log2, p[pos])
+    out[pos] = -p[pos] * log2(p[pos])
     return out
 
 
@@ -60,14 +64,18 @@ def binary_entropy(p: float) -> float:
     return _plogp(p) + _plogp(1.0 - p)
 
 
-def binary_entropy_array(p) -> np.ndarray:
-    """``binary_entropy`` of each element of ``p``, bit for bit."""
+def binary_entropy_array(p, log2=_exact_log2) -> np.ndarray:
+    """``binary_entropy`` of each element of ``p``, bit for bit.
+
+    ``log2`` takes the logarithms; ``np.log2`` gives the same operations
+    with numpy's logarithm, which the sweeps use as an estimate.
+    """
     p = np.asarray(p, dtype=float)
     out_of_range = (p < -PROB_TOL) | (p > 1.0 + PROB_TOL)
     if out_of_range.any():
         raise ValueError(f"probability {float(p[out_of_range][0])!r} outside [0, 1]")
     p = np.clip(p, 0.0, 1.0)
-    return _plogp_array(p) + _plogp_array(1.0 - p)
+    return _plogp_array(p, log2) + _plogp_array(1.0 - p, log2)
 
 
 def binary_convolve(x: float, y: float) -> float:

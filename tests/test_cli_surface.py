@@ -96,6 +96,8 @@ INVOCATIONS: list[list[str]] = [
     [*CURVE, "--q-values", ","],
     [*CURVE, "--q-values", "5", "--alpha-steps", "9"],
     ["gaussian-region", *GAUSS, "--dpc-only", "--alpha-steps", "0"],
+    ["gaussian-region", "--P1", "1e300", "--P2", "50", "--Q", "20", "--N", "60"],
+    [*CURVE, "--q-values", "1e307"],
     ["figure", "fig99"],
     ["verify", "nonsense"],
 ]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -386,3 +388,21 @@ class TestRegionPolygonInvariants:
     def test_rejects_clockwise(self):
         with pytest.raises(ValueError):
             RegionPolygon(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)))
+
+    def test_vertices_are_float_pairs_over_a_read_only_array(self):
+        region = convex_hull_2d([(1, 0), (0.6, 0.6), (0, 1)])
+        assert region.vertices == ((0.0, 0.0), (1.0, 0.0), (0.6, 0.6), (0.0, 1.0))
+        assert all(type(c) is float for v in region.vertices for c in v)
+        assert list(region) == list(region.vertices)
+        with pytest.raises(ValueError):
+            region._xy[1, 0] = 2.0
+        with pytest.raises(AttributeError):
+            region.vertices = ((0.0, 0.0),)
+
+    def test_equality_and_hash_follow_the_vertices(self):
+        a = RegionPolygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+        b = RegionPolygon([(0, 0), (1, 0), (0, 1)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != RegionPolygon(((0.0, 0.0), (1.0, 0.0))) and a != a.vertices
+        assert eval(repr(a)) == a
+        assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
